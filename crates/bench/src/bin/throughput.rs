@@ -1,10 +1,10 @@
 //! Serving-throughput benchmark: batched integer inference through
-//! `BatchEngine` at batch 1/8/32 — the per-layer series (`forward_batch`
-//! over a `ModelBatch`, kept for trend continuity) next to the end-to-end
-//! series (`run_plan_batch`: raw images → logits through the compiled
-//! `ExecutionPlan`), each beside the cycle simulator's batched GOPS/fps
-//! prediction — the software counterpart of Table VIII's throughput
-//! columns, opened up to serving workloads.
+//! `BatchEngine::run_plan_batch` (raw images → logits through the compiled
+//! `ExecutionPlan`) at batch 1/8/32, beside the cycle simulator's batched
+//! GOPS/fps prediction — the software counterpart of Table VIII's
+//! throughput columns, opened up to serving workloads. Also reports the
+//! single-thread kernel chain per SIMD tier, the plan optimizer's per-pass
+//! trajectory and a per-step plan profile.
 //!
 //! Writes `BENCH_throughput.json` into the working directory. Pass
 //! `--smoke` for a CI-sized run.
@@ -12,11 +12,11 @@
 use mixmatch_fpga::bridge::FpgaTarget;
 use mixmatch_fpga::device::FpgaDevice;
 use mixmatch_nn::models::{ResNet, ResNetConfig};
-use mixmatch_quant::engine::{BatchEngine, ModelBatch};
+use mixmatch_quant::engine::BatchEngine;
 use mixmatch_quant::integer::{ActQuantizer, QuantizedMatrix};
 use mixmatch_quant::msq::MsqPolicy;
 use mixmatch_quant::optimize;
-use mixmatch_quant::pipeline::{CompiledModel, DeployForm, QuantizedModel};
+use mixmatch_quant::pipeline::CompiledModel;
 use mixmatch_tensor::im2col::{im2col_patches_into, ConvGeometry};
 use mixmatch_tensor::simd::{detected_tier, SimdTier};
 use mixmatch_tensor::{Tensor, TensorRng};
@@ -38,27 +38,6 @@ fn time_passes(mut pass: impl FnMut(), min_secs: f64) -> (usize, f64) {
     }
 }
 
-/// One model pass over a batch through the interpreted single-image kernels
-/// (`try_forward_image` / `matvec`) — the pre-engine baseline. Shape
-/// errors surface as a report instead of a panic.
-fn single_path_pass(model: &QuantizedModel, batch: &ModelBatch) -> Result<(), String> {
-    let act = *model.act_quantizer();
-    for (layer, inputs) in model.layers().iter().zip(&batch.inputs) {
-        for input in inputs {
-            match &layer.form {
-                DeployForm::Conv(conv) => {
-                    conv.try_forward_image(input)
-                        .map_err(|e| format!("layer {}: {e}", layer.desc.name))?;
-                }
-                DeployForm::Matrix(matrix) => {
-                    let _ = matrix.matvec(&act.quantize(input.as_slice()), &act);
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (input_hw, min_secs) = if smoke { (8, 0.05) } else { (16, 0.4) };
@@ -78,21 +57,6 @@ fn main() {
         plan.steps().len(),
         engine.threads()
     );
-
-    // Pre-engine baseline: the interpreted single-image path at batch 1.
-    let base_batch = ModelBatch::sample(&quantized, input_hw, 1, &mut rng);
-    if let Err(e) = single_path_pass(&quantized, &base_batch) {
-        eprintln!("single-image baseline failed: {e}");
-        std::process::exit(1);
-    }
-    let (iters, secs) = time_passes(
-        || {
-            single_path_pass(&quantized, &base_batch).expect("validated above");
-        },
-        min_secs,
-    );
-    let single_path_ips = iters as f64 / secs;
-    println!("single-image path (no engine):   {single_path_ips:9.1} images/sec");
 
     // Kernel series: the raw im2col → quantize → GEMM chain on one thread,
     // the scalar tier against the runtime-detected vector tier of the
@@ -186,48 +150,6 @@ fn main() {
         "  simd vs scalar @ batch 32: {kernel_speedup:.2}x ({})",
         tier_name(detected_tier())
     );
-
-    // Per-layer series: every layer fed its own synthetic batch (the
-    // pre-plan serving mode, kept for trend continuity).
-    let mut rows = String::new();
-    let mut measured = Vec::new();
-    for &batch in &[1usize, 8, 32] {
-        let model_batch = ModelBatch::sample(&quantized, input_hw, batch, &mut rng);
-        engine
-            .forward_batch(&quantized, &model_batch)
-            .expect("warmup pass");
-        let (iters, secs) = time_passes(
-            || {
-                engine
-                    .forward_batch(&quantized, &model_batch)
-                    .expect("timed pass");
-            },
-            min_secs,
-        );
-        let ips = (batch * iters) as f64 / secs;
-        measured.push((batch, ips));
-        let run = engine
-            .forward_batch(&quantized, &model_batch)
-            .expect("census pass");
-        let sim = quantized
-            .summarize_batched(batch)
-            .expect("fpga target anchors the pipeline");
-        let sim_ips = batch as f64 * 1_000.0 / sim.latency_ms as f64;
-        println!(
-            "per-layer batch {batch:>2}:   {ips:9.1} images/sec measured | sim {:7.1} GOPS, {sim_ips:9.1} images/sec",
-            sim.gops
-        );
-        let _ = write!(
-            rows,
-            r#"{}    {{"batch": {batch}, "images_per_sec": {ips:.1}, "ops": {{"mults": {}, "shifts": {}, "adds": {}}}, "sim_gops": {:.2}, "sim_latency_ms": {:.4}, "sim_images_per_sec": {sim_ips:.1}}}"#,
-            if rows.is_empty() { "" } else { ",\n" },
-            run.ops.mults,
-            run.ops.shifts,
-            run.ops.adds,
-            sim.gops,
-            sim.latency_ms,
-        );
-    }
 
     // Plan-optimizer series: the same model run through the raw lowering
     // (`QuantizedModel::compile` never optimizes) and through the
@@ -426,24 +348,14 @@ fn main() {
         );
     }
 
-    let speedup_of = |series: &[(usize, f64)]| {
-        let at = |b: usize| {
-            series
-                .iter()
-                .find(|(bb, _)| *bb == b)
-                .map_or(0.0, |(_, i)| *i)
-        };
-        if at(1) > 0.0 {
-            at(32) / at(1)
-        } else {
-            0.0
-        }
+    let at = |b: usize| {
+        e2e_measured
+            .iter()
+            .find(|(bb, _)| *bb == b)
+            .map_or(0.0, |(_, i)| *i)
     };
-    let speedup = speedup_of(&measured);
-    let e2e_speedup = speedup_of(&e2e_measured);
-    println!(
-        "\nbatch-32 vs batch-1 speedup: per-layer {speedup:.2}x, end-to-end {e2e_speedup:.2}x"
-    );
+    let e2e_speedup = if at(1) > 0.0 { at(32) / at(1) } else { 0.0 };
+    println!("\nbatch-32 vs batch-1 speedup: end-to-end {e2e_speedup:.2}x");
 
     let json = format!(
         r#"{{
@@ -455,7 +367,6 @@ fn main() {
   "host": {{"os": "{}", "arch": "{}", "parallelism": {}}},
   "plan_steps": {},
   "smoke": {smoke},
-  "single_path_images_per_sec": {single_path_ips:.1},
   "kernel": {{
     "geometry": {{"in_channels": {}, "out_channels": {}, "kernel": {}, "input_hw": {input_hw}, "gemm_k": {kk}, "patches": {patches}, "tile_patches": {tile}}},
     "act_bits": {},
@@ -466,9 +377,6 @@ fn main() {
     ],
     "simd_vs_scalar_batch32": {kernel_speedup:.2}
   }},
-  "batches": [
-{rows}
-  ],
   "end_to_end_images_per_sec": [
 {e2e_rows}
   ],
@@ -492,7 +400,6 @@ fn main() {
 {mlp_rows}
     ]
   }},
-  "speedup_batch32_vs_batch1": {speedup:.2},
   "end_to_end_speedup_batch32_vs_batch1": {e2e_speedup:.2}
 }}
 "#,

@@ -121,6 +121,10 @@ impl Layer for Conv2d {
         })
     }
 
+    fn quant_descs(&self) -> Vec<crate::quantize::QuantLayerDesc> {
+        vec![crate::quantize::QuantLayerDesc::for_conv(self)]
+    }
+
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         assert_eq!(input.shape().rank(), 4, "Conv2d expects [B, C, H, W] input");
         let (batch, c, h, w) = (

@@ -1,6 +1,7 @@
 //! Layer trait and named parameters.
 
 use crate::lower::LayerLowering;
+use crate::quantize::QuantLayerDesc;
 use mixmatch_tensor::Tensor;
 
 /// A trainable parameter: value, gradient accumulator and a stable name.
@@ -97,6 +98,15 @@ pub trait Layer {
     fn lowering(&self) -> LayerLowering {
         LayerLowering::Opaque
     }
+
+    /// Descriptors of this layer's quantizable weight matrices. The default
+    /// derives them from the parameter list, which carries no conv
+    /// geometry; [`Conv2d`](crate::layers::Conv2d) attaches its own so it
+    /// deploys through the im2col path, and [`Sequential`] concatenates its
+    /// children's.
+    fn quant_descs(&self) -> Vec<QuantLayerDesc> {
+        crate::quantize::descs_from_params(&self.params())
+    }
 }
 
 /// A sequence of layers applied in order.
@@ -187,6 +197,10 @@ impl Layer for Sequential {
             .iter_mut()
             .flat_map(|l| l.params_mut())
             .collect()
+    }
+
+    fn quant_descs(&self) -> Vec<QuantLayerDesc> {
+        self.layers.iter().flat_map(|l| l.quant_descs()).collect()
     }
 }
 

@@ -171,6 +171,10 @@ impl QuantizableModel for Sequential {
         crate::module::Layer::params_mut(self)
     }
 
+    fn quantizable_layers(&self) -> Vec<QuantLayerDesc> {
+        Layer::quant_descs(self)
+    }
+
     fn forward_batch(&mut self, inputs: &[Tensor]) -> Option<Vec<Tensor>> {
         Some(layer_forward_batch(self, inputs))
     }
@@ -211,6 +215,15 @@ mod tests {
         assert!(matches!(
             QuantLayerDesc::for_conv(&dw).kind,
             QuantLayerKind::DepthwiseConv(_)
+        ));
+        // Inside a Sequential the convolution keeps its geometry.
+        let mut net = Sequential::new();
+        net.push(conv);
+        net.push(Linear::with_name("fc", 4, 2, false, &mut rng));
+        let kinds: Vec<QuantLayerKind> = net.quantizable_layers().iter().map(|d| d.kind).collect();
+        assert!(matches!(
+            kinds[..],
+            [QuantLayerKind::Conv(_), QuantLayerKind::Dense]
         ));
     }
 

@@ -1,64 +1,75 @@
-//! Batched, multi-threaded integer inference over deployment forms.
+//! Batched, multi-threaded integer inference through compiled execution
+//! plans.
 //!
-//! The paper's accelerator streams whole batches through its dual-core GEMM
-//! datapath; [`BatchEngine`] is the software twin of that serving mode. It
-//! runs over a persistent [`WorkerPool`] (the shared process-wide pool by
-//! default, or a private one via [`BatchEngine::with_threads`] — workers
-//! are spawned once and reused for every batch, with no per-call thread
-//! spawning and no hard-coded thread clamp), compiles each
-//! layer's [`GemmPlan`](crate::integer::GemmPlan) once per batch so the
-//! inner loops run on flat integer numerators instead of re-matching
-//! [`WeightCode`](crate::codes::WeightCode) enums per element, and keeps
-//! per-worker im2col/quantization scratch so the inner loops run
-//! allocation-free, with per-call setup amortised across each worker's
-//! share of the batch.
+//! The paper's accelerator fixes each row's scheme (SP2 on LUTs,
+//! fixed-point on DSPs) once, when the weights are loaded, and then streams
+//! images through its dual-core GEMM datapath. [`BatchEngine`] is the
+//! software twin of that serving mode, and it has one execution path:
+//! [`BatchEngine::run_plan_batch`] (with its [`BatchEngine::run_plan`] and
+//! [`BatchEngine::run_plan_profiled`] forms) takes raw images through every
+//! step of an [`ExecutionPlan`] to logits.
 //!
-//! Outputs are **bit-identical** to the single-image path
-//! ([`QuantizedConv::forward_image`] / [`QuantizedMatrix::matvec`]): integer
-//! accumulation is exact and order-preserving, and the final scaling is the
-//! same `f32` expression. Aggregated [`OpCounts`] match the interpreted
-//! kernels' accounting, so a batch can be handed straight to the cycle
-//! simulator (via [`HardwareTarget::summarize_batch`]) for batched GOPS/fps
-//! next to measured wall-clock throughput.
+//! Each layer's [`GemmPlan`] — flat integer numerators or packed nibbles in
+//! place of per-element [`WeightCode`](crate::codes::WeightCode) matches —
+//! is built and overflow-checked once, by the first call that needs it, and
+//! cached inside the [`QuantizedModel`]. Every later call only validates
+//! its batch against the plan before fanning contiguous image chunks out
+//! over a persistent [`WorkerPool`] (the shared process-wide pool by
+//! default, or a private one via [`BatchEngine::with_threads`]). Each
+//! worker owns one buffer arena and one im2col/quantization scratch set,
+//! so the per-image inner loops run allocation-free.
 //!
-//! [`HardwareTarget::summarize_batch`]: crate::pipeline::HardwareTarget::summarize_batch
+//! Outputs are **bit-identical** to the interpreted single-image kernels
+//! ([`QuantizedConv::forward_image`](crate::deploy::QuantizedConv::forward_image)
+//! / [`QuantizedMatrix::matvec`](crate::integer::QuantizedMatrix::matvec))
+//! chained through the plan: integer accumulation is exact and the final
+//! scaling is the same `f32` expression. Aggregated [`OpCounts`] match the
+//! interpreter's Table I accounting, so a measured batch sits next to the
+//! cycle simulator's batched prediction
+//! ([`CompiledModel::summarize_batched`]).
 //!
 //! # Example
 //!
 //! ```
-//! use mixmatch_quant::deploy::QuantizedConv;
+//! use mixmatch_nn::layers::Conv2d;
+//! use mixmatch_nn::module::Sequential;
 //! use mixmatch_quant::engine::BatchEngine;
-//! use mixmatch_quant::integer::ActQuantizer;
 //! use mixmatch_quant::msq::MsqPolicy;
+//! use mixmatch_quant::pipeline::{DeployForm, QuantPipeline};
 //! use mixmatch_tensor::im2col::ConvGeometry;
 //! use mixmatch_tensor::{Tensor, TensorRng};
 //!
 //! let mut rng = TensorRng::seed_from(0);
-//! let geom = ConvGeometry::new(3, 8, 3, 1, 1);
-//! let w = Tensor::randn(&[8, 27], &mut rng);
-//! let conv = QuantizedConv::new(geom, &w, &MsqPolicy::msq_half(), ActQuantizer::new(4, 1.0));
+//! let mut net = Sequential::new();
+//! net.push(Conv2d::with_geometry("conv", ConvGeometry::new(3, 8, 3, 1, 1), false, &mut rng));
+//! let compiled = QuantPipeline::from_policy(MsqPolicy::msq_half())
+//!     .with_input_shape(&[3, 6, 6])
+//!     .quantize(&mut net)
+//!     .expect("quantize");
 //! let images: Vec<Tensor> = (0..4)
 //!     .map(|_| Tensor::rand_uniform(&[3, 6, 6], 0.0, 1.0, &mut rng))
 //!     .collect();
 //! let engine = BatchEngine::with_threads(2);
-//! let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+//! // The first call builds the conv's GemmPlan; later calls reuse it.
+//! let run = engine.run_plan_batch(&compiled, &images).expect("batch");
 //! assert_eq!(run.outputs.len(), 4);
+//! let DeployForm::Conv(conv) = &compiled.layers()[0].form else {
+//!     unreachable!("a Conv2d deploys as a conv");
+//! };
 //! assert_eq!(run.outputs[0].as_slice(), conv.forward_image(&images[0]).as_slice());
 //! ```
 
 use crate::codes::OpCounts;
-use crate::deploy::QuantizedConv;
 use crate::error::QuantError;
 use crate::graph::{self, Epilogue, ExecutionPlan, StepOp};
-use crate::integer::{ActQuantizer, GemmPlan, QuantizedMatrix};
+use crate::integer::{ActQuantizer, GemmPlan};
 use crate::pipeline::{CompiledModel, DeployForm, QuantizedLayer, QuantizedModel};
 use crate::profile::{PlanProfile, StepProfile};
-use mixmatch_nn::quantize::QuantLayerKind;
 use mixmatch_tensor::arena::BufferArena;
 use mixmatch_tensor::im2col::{im2col_patches_into, ConvGeometry};
 use mixmatch_tensor::pool::WorkerPool;
 use mixmatch_tensor::simd::SimdTier;
-use mixmatch_tensor::{Tensor, TensorRng};
+use mixmatch_tensor::Tensor;
 
 /// Result of one batched pass: per-input outputs plus the aggregate
 /// hardware-operation census across the whole batch.
@@ -70,78 +81,14 @@ pub struct BatchRun {
     pub ops: OpCounts,
 }
 
-/// Per-layer inputs for a whole-model batched pass: `inputs[l][i]` feeds
-/// layer `l` with batch element `i`.
-///
-/// Deployment layers are independent GEMM stages (residual adds, pooling and
-/// normalization live between them in the float model), so a model-level
-/// serving workload drives every layer with its own correctly-shaped batch.
-#[derive(Debug)]
-pub struct ModelBatch {
-    /// Batch inputs per layer, in model order.
-    pub inputs: Vec<Vec<Tensor>>,
-}
-
-impl ModelBatch {
-    /// Samples a synthetic serving batch for every layer of `model`:
-    /// convolution layers get `[Cin, H, H]` maps (spatial size composed
-    /// through the strides from `input_hw`, mirroring the cycle simulator's
-    /// lowering), dense/recurrent layers get `[cols]` vectors, all uniform
-    /// in `[0, clip]`.
-    pub fn sample(
-        model: &QuantizedModel,
-        input_hw: usize,
-        batch: usize,
-        rng: &mut TensorRng,
-    ) -> Self {
-        let clip = model.act_quantizer().clip;
-        let mut h = input_hw;
-        let inputs = model
-            .layers()
-            .iter()
-            .map(|layer| {
-                let dims: Vec<usize> = match &layer.desc.kind {
-                    QuantLayerKind::Conv(geom) | QuantLayerKind::DepthwiseConv(geom) => {
-                        let h_in = h.max(geom.kernel);
-                        h = (h_in / geom.stride).max(1);
-                        vec![geom.in_channels, h_in, h_in]
-                    }
-                    QuantLayerKind::Dense | QuantLayerKind::Recurrent => vec![layer.desc.cols],
-                };
-                (0..batch)
-                    .map(|_| Tensor::rand_uniform(&dims, 0.0, clip, rng))
-                    .collect()
-            })
-            .collect();
-        ModelBatch { inputs }
-    }
-
-    /// Number of batch elements (0 for an empty layer list).
-    pub fn batch_size(&self) -> usize {
-        self.inputs.first().map_or(0, Vec::len)
-    }
-}
-
-/// Result of a whole-model batched pass.
-#[derive(Debug)]
-pub struct ModelRun {
-    /// `outputs[l][i]` is layer `l`'s output for batch element `i`.
-    pub outputs: Vec<Vec<Tensor>>,
-    /// Aggregate op counts over every layer and batch element.
-    pub ops: OpCounts,
-}
-
 /// Per-worker scratch, reused across a worker's share of the batch: one
 /// patch-major im2col tile and its quantized copy, both sized to the
 /// cache-tiled chain's L1/L2 budget (see [`conv_tile_patches`]) instead of
-/// the whole `[K, patches]` image matrix. `transposed` backs the legacy
-/// `matmul_into` transpose path, which the tiled conv chain no longer
-/// touches (it stays empty in steady state).
+/// the whole `[K, patches]` image matrix.
 #[derive(Default)]
 struct ConvScratch {
     cols: Vec<f32>,
     quantized: Vec<u32>,
-    transposed: Vec<u32>,
 }
 
 /// How a plan step's input geometry is validated against its layer: a conv
@@ -201,131 +148,6 @@ impl BatchEngine {
         self.pool().threads()
     }
 
-    /// Batched convolution: `images[i]` → output feature map `i`,
-    /// bit-identical to [`QuantizedConv::forward_image`] per element.
-    /// Images are validated up front, the row plan is compiled once, and
-    /// contiguous image chunks are fanned out over the pool with per-worker
-    /// scratch.
-    ///
-    /// # Errors
-    ///
-    /// [`QuantError::ShapeMismatch`] when any image is not a rank-3 map
-    /// with the layer's channel count.
-    pub fn forward_conv_batch(
-        &self,
-        conv: &QuantizedConv,
-        images: &[Tensor],
-    ) -> Result<BatchRun, QuantError> {
-        let geom = *conv.geometry();
-        let act = *conv.act_quantizer();
-        let mut outputs = Vec::with_capacity(images.len());
-        for image in images {
-            let (oh, ow) = conv.check_image(image)?;
-            outputs.push(Tensor::zeros(&[geom.out_channels, oh, ow]));
-        }
-        let plan = conv.matrix().try_plan()?;
-        plan.check_act(&act)?;
-        note_kernel_rows(&plan);
-        let ops = self.dispatch(images, &mut outputs, |image, out, scratch| {
-            conv_image_planned(&plan, &geom, &act, image, out, scratch, None)
-        });
-        Ok(BatchRun { outputs, ops })
-    }
-
-    /// Batched dense/recurrent product: each rank-1 `[cols]` input maps to
-    /// a rank-1 `[rows]` output, bit-identical to
-    /// [`QuantizedMatrix::matvec`] on that input's quantized activations.
-    ///
-    /// # Errors
-    ///
-    /// [`QuantError::ShapeMismatch`] when an input is not `[cols]`.
-    pub fn forward_matrix_batch(
-        &self,
-        matrix: &QuantizedMatrix,
-        act: &ActQuantizer,
-        inputs: &[Tensor],
-    ) -> Result<BatchRun, QuantError> {
-        for input in inputs {
-            if input.shape().rank() != 1 || input.dims()[0] != matrix.cols() {
-                return Err(QuantError::ShapeMismatch {
-                    context: "dense layer input must be a rank-1 [cols] vector".into(),
-                    expected: vec![matrix.cols()],
-                    got: input.dims().to_vec(),
-                });
-            }
-        }
-        let act = *act;
-        let rows = matrix.rows();
-        let mut outputs: Vec<Tensor> = inputs.iter().map(|_| Tensor::zeros(&[rows])).collect();
-        let plan = matrix.try_plan()?;
-        plan.check_act(&act)?;
-        note_kernel_rows(&plan);
-        let ops = self.dispatch(inputs, &mut outputs, |input, out, scratch| {
-            act.quantize_into(input.as_slice(), &mut scratch.quantized);
-            plan.matmul_into(
-                &scratch.quantized,
-                1,
-                &act,
-                out.as_mut_slice(),
-                &mut scratch.transposed,
-            )
-        });
-        Ok(BatchRun { outputs, ops })
-    }
-
-    /// Batched forward through one deployed layer, dispatching on its form
-    /// (`act` is the model-wide activation quantizer, used by the matrix
-    /// form; convolutions carry their own).
-    ///
-    /// # Errors
-    ///
-    /// As [`BatchEngine::forward_conv_batch`] /
-    /// [`BatchEngine::forward_matrix_batch`].
-    pub fn forward_layer_batch(
-        &self,
-        layer: &QuantizedLayer,
-        act: &ActQuantizer,
-        inputs: &[Tensor],
-    ) -> Result<BatchRun, QuantError> {
-        match &layer.form {
-            DeployForm::Conv(conv) => self.forward_conv_batch(conv, inputs),
-            DeployForm::Matrix(matrix) => self.forward_matrix_batch(matrix, act, inputs),
-        }
-    }
-
-    /// Whole-model batched pass: every layer processes its batch from
-    /// `batch.inputs`, outputs land in the same `[layer][element]` layout,
-    /// and op counts aggregate across the model — one serving "tick" of the
-    /// software twin, comparable against
-    /// [`QuantizedModel::summarize_batched`].
-    ///
-    /// # Errors
-    ///
-    /// [`QuantError::ShapeMismatch`] when `batch` does not provide inputs
-    /// for every layer, or any input disagrees with its layer.
-    pub fn forward_batch(
-        &self,
-        model: &QuantizedModel,
-        batch: &ModelBatch,
-    ) -> Result<ModelRun, QuantError> {
-        if batch.inputs.len() != model.layers().len() {
-            return Err(QuantError::ShapeMismatch {
-                context: "model batch must provide one input list per layer".into(),
-                expected: vec![model.layers().len()],
-                got: vec![batch.inputs.len()],
-            });
-        }
-        let act = *model.act_quantizer();
-        let mut outputs = Vec::with_capacity(model.layers().len());
-        let mut ops = OpCounts::default();
-        for (layer, inputs) in model.layers().iter().zip(&batch.inputs) {
-            let run = self.forward_layer_batch(layer, &act, inputs)?;
-            ops = ops.merge(run.ops);
-            outputs.push(run.outputs);
-        }
-        Ok(ModelRun { outputs, ops })
-    }
-
     /// End-to-end batched inference through a [`CompiledModel`]'s plan:
     /// raw images in, network outputs (logits / prediction maps) out — no
     /// per-layer input feeding. See [`BatchEngine::run_plan`].
@@ -346,25 +168,28 @@ impl BatchEngine {
     /// deployment forms: each worker owns one [`BufferArena`] sized to the
     /// plan's buffer high-water marks plus one scratch set, so a whole
     /// forward pass does zero shape inference and near-zero allocation.
-    /// Per-layer results are bit-identical to
-    /// [`BatchEngine::forward_layer_batch`] on the same inputs (same
-    /// compiled GEMM plans, same kernels); `ops` aggregates the GEMM steps'
-    /// Table I accounting (pool/add/activation steps are ALU work the GEMM
-    /// census does not count).
+    /// Every GEMM step runs the layer's cached [`GemmPlan`], built on the
+    /// first call that needs it. Each conv/GEMM step is bit-identical to
+    /// the interpreted single-image kernel on that step's input; `ops`
+    /// aggregates the GEMM steps' Table I accounting (pool/add/activation
+    /// steps are ALU work the GEMM census does not count). An empty batch
+    /// is validated like any other and returns no outputs and zero ops.
     ///
     /// # Errors
     ///
     /// [`QuantError::ShapeMismatch`] when an image is not the plan's input
     /// shape, [`QuantError::MissingParam`] when the plan references a layer
-    /// index the model does not have (a plan compiled from a different
-    /// model).
+    /// index the model does not have, [`QuantError::Geometry`] when a step's
+    /// shapes disagree with its layer (a plan compiled from a different
+    /// model), and [`QuantError::Overflow`] when a layer's plan could wrap
+    /// its accumulator.
     pub fn run_plan(
         &self,
         model: &QuantizedModel,
         plan: &ExecutionPlan,
         images: &[Tensor],
     ) -> Result<BatchRun, QuantError> {
-        let gemm_plans = validate_and_compile(model, plan, images)?;
+        let gemm_plans = validate(model, plan, images)?;
         Ok(self.execute_plan(model, plan, &gemm_plans, images, None))
     }
 
@@ -384,7 +209,7 @@ impl BatchEngine {
         plan: &ExecutionPlan,
         images: &[Tensor],
     ) -> Result<(BatchRun, PlanProfile), QuantError> {
-        let gemm_plans = validate_and_compile(model, plan, images)?;
+        let gemm_plans = validate(model, plan, images)?;
         let mut step_nanos = vec![0u64; plan.steps().len()];
         let start = std::time::Instant::now();
         let run = self.execute_plan(model, plan, &gemm_plans, images, Some(&mut step_nanos));
@@ -401,7 +226,7 @@ impl BatchEngine {
         &self,
         model: &QuantizedModel,
         plan: &ExecutionPlan,
-        gemm_plans: &[Option<GemmPlan>],
+        gemm_plans: &[Option<&GemmPlan>],
         images: &[Tensor],
         step_nanos: Option<&mut [u64]>,
     ) -> BatchRun {
@@ -482,47 +307,10 @@ impl BatchEngine {
                 .fold(OpCounts::default(), OpCounts::merge),
         }
     }
-
-    /// Fans `(input, output)` pairs out over the pool in contiguous chunks
-    /// — one task per worker share, one scratch set per task — and merges
-    /// the per-chunk op counts.
-    fn dispatch<F>(&self, inputs: &[Tensor], outputs: &mut [Tensor], kernel: F) -> OpCounts
-    where
-        F: Fn(&Tensor, &mut Tensor, &mut ConvScratch) -> OpCounts + Send + Sync,
-    {
-        if inputs.is_empty() {
-            return OpCounts::default();
-        }
-        let chunk = inputs.len().div_ceil(self.pool().threads()).max(1);
-        let chunks = inputs.len().div_ceil(chunk);
-        let mut chunk_ops = vec![OpCounts::default(); chunks];
-        {
-            let kernel = &kernel;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = inputs
-                .chunks(chunk)
-                .zip(outputs.chunks_mut(chunk))
-                .zip(chunk_ops.iter_mut())
-                .map(|((ins, outs), ops_slot)| {
-                    Box::new(move || {
-                        let mut scratch = ConvScratch::default();
-                        let mut ops = OpCounts::default();
-                        for (input, out) in ins.iter().zip(outs) {
-                            ops = ops.merge(kernel(input, out, &mut scratch));
-                        }
-                        *ops_slot = ops;
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            self.pool().run(tasks);
-        }
-        chunk_ops
-            .into_iter()
-            .fold(OpCounts::default(), OpCounts::merge)
-    }
 }
 
 /// Validates a plan against a model and batch before any fan-out, and
-/// compiles each referenced layer's GEMM row plan exactly once.
+/// collects each referenced layer's cached GEMM plan (indexed by layer).
 ///
 /// Debug builds first re-prove the plan's model-independent invariants
 /// (SSA, buffer liveness, weight-free shape flow, reachability).
@@ -530,12 +318,13 @@ impl BatchEngine {
 /// with typed errors, which callers rely on. Every image must match the
 /// plan's input shape, and every GEMM step's shape flow must agree with
 /// this model's geometry — a plan paired with the wrong model fails typed
-/// here, never by panic in a worker.
-fn validate_and_compile(
-    model: &QuantizedModel,
+/// here, never by panic in a worker. A layer's GEMM plan is built (and its
+/// overflow bound proven) on this thread the first time any call needs it.
+fn validate<'m>(
+    model: &'m QuantizedModel,
     plan: &ExecutionPlan,
     images: &[Tensor],
-) -> Result<Vec<Option<GemmPlan>>, QuantError> {
+) -> Result<Vec<Option<&'m GemmPlan>>, QuantError> {
     #[cfg(debug_assertions)]
     {
         let report = crate::verify::verify_plan(plan);
@@ -550,7 +339,7 @@ fn validate_and_compile(
             });
         }
     }
-    let mut gemm_plans: Vec<Option<GemmPlan>> = vec![None; model.layers().len()];
+    let mut gemm_plans: Vec<Option<&GemmPlan>> = vec![None; model.layers().len()];
     let mut dims: Vec<Option<&[usize]>> = vec![None; plan.buffer_sizes().len()];
     dims[plan.input_buffer()] = Some(plan.input_dims());
     for step in plan.steps() {
@@ -601,36 +390,23 @@ fn validate_and_compile(
                     ),
                 });
             }
-            if gemm_plans[layer].is_none() {
-                // Typed overflow errors surface here, before fan-out:
-                // the plan must be representable, and the layer's
-                // activation ceiling must provably fit the accumulator.
-                let gemm = l.matrix().try_plan()?;
-                let layer_act = match &l.form {
-                    DeployForm::Conv(conv) => conv.act_quantizer(),
-                    DeployForm::Matrix(_) => model.act_quantizer(),
-                };
-                gemm.check_act(layer_act)?;
-                note_kernel_rows(&gemm);
-                gemm_plans[layer] = Some(gemm);
-            }
+            // Typed overflow errors surface here, before fan-out.
+            gemm_plans[layer] = Some(model.gemm_plan(layer)?);
         }
         dims[step.dst] = Some(&step.dims);
     }
     Ok(gemm_plans)
 }
 
-/// Reports a freshly compiled GEMM plan's row layout to the global
-/// metrics registry as `mixmatch_kernel_rows_total{tier=...}`: packed
-/// rows under the selected SIMD tier, dense-fallback rows under `dense`.
-/// This makes a silent drop to scalar dispatch (a `MIXMATCH_FORCE_SCALAR`
-/// leak, a CPU without AVX2) observable on the metrics page.
-fn note_kernel_rows(plan: &GemmPlan) {
+/// Reports a freshly built GEMM plan's row layout to the global metrics
+/// registry as `mixmatch_kernel_rows_total{tier=...}`: packed rows under
+/// the selected SIMD tier, dense-fallback rows under `dense`. Plans are
+/// built once per loaded model, so each model's rows count once. This
+/// makes a silent drop to scalar dispatch (a `MIXMATCH_FORCE_SCALAR` leak,
+/// a CPU without AVX2) observable on the metrics page.
+pub(crate) fn note_kernel_rows(plan: &GemmPlan) {
     let reg = mixmatch_obs::Registry::global();
-    let tier = match plan.tier() {
-        SimdTier::Avx2 => "avx2",
-        SimdTier::Scalar => "scalar",
-    };
+    let tier = tier_name(plan.tier());
     let packed = plan.packed_rows() as u64;
     let dense = plan.rows() as u64 - packed;
     if packed > 0 {
@@ -643,15 +419,23 @@ fn note_kernel_rows(plan: &GemmPlan) {
     }
 }
 
+/// The metrics/profile label of a SIMD tier.
+fn tier_name(tier: SimdTier) -> &'static str {
+    match tier {
+        SimdTier::Avx2 => "avx2",
+        SimdTier::Scalar => "scalar",
+    }
+}
+
 /// Assembles the [`PlanProfile`] for one profiled batch: step labels from
 /// the op kind + layer name, bytes moved from the dims flow (src reads +
 /// dst writes × 4 bytes × images), kernel tier/row split from the
-/// compiled GEMM plans, and the cycle simulator's predicted per-image
+/// layers' cached GEMM plans, and the cycle simulator's predicted per-image
 /// cost per step when the model is anchored to a target that models one.
 fn build_profile(
     model: &QuantizedModel,
     plan: &ExecutionPlan,
-    gemm_plans: &[Option<GemmPlan>],
+    gemm_plans: &[Option<&GemmPlan>],
     images: usize,
     step_nanos: &[u64],
     total: std::time::Duration,
@@ -672,9 +456,7 @@ fn build_profile(
                 StepOp::Conv { layer }
                 | StepOp::FusedConv { layer, .. }
                 | StepOp::Gemm { layer }
-                | StepOp::FusedGemm { layer, .. } => {
-                    Some((layer, gemm_plans[layer].as_ref().expect("compiled")))
-                }
+                | StepOp::FusedGemm { layer, .. } => gemm_plans[layer],
                 _ => None,
             };
             let label = match step.op {
@@ -693,17 +475,11 @@ fn build_profile(
                 StepOp::Requantize => "requantize".to_string(),
             };
             let (tier, packed_rows, dense_rows) = match gemm {
-                Some((_, g)) => {
-                    let tier = match g.tier() {
-                        SimdTier::Avx2 => "avx2",
-                        SimdTier::Scalar => "scalar",
-                    };
-                    (
-                        Some(tier.to_string()),
-                        g.packed_rows(),
-                        g.rows() - g.packed_rows(),
-                    )
-                }
+                Some(g) => (
+                    Some(tier_name(g.tier()).to_string()),
+                    g.packed_rows(),
+                    g.rows() - g.packed_rows(),
+                ),
                 None => (None, 0, 0),
             };
             StepProfile {
@@ -808,7 +584,7 @@ fn conv_image_planned(
 fn run_plan_single(
     layers: &[QuantizedLayer],
     plan: &ExecutionPlan,
-    gemm_plans: &[Option<GemmPlan>],
+    gemm_plans: &[Option<&GemmPlan>],
     act: &ActQuantizer,
     image: &Tensor,
     out: &mut Tensor,
@@ -831,7 +607,7 @@ fn run_plan_single(
                 };
                 let (src, dst) = arena.src_dst(step.srcs[0], step.dst, &step.dims);
                 ops = ops.merge(conv_image_planned(
-                    gemm_plans[layer].as_ref().expect("compiled before fan-out"),
+                    gemm_plans[layer].expect("resolved before fan-out"),
                     conv.geometry(),
                     conv.act_quantizer(),
                     src,
@@ -841,15 +617,17 @@ fn run_plan_single(
                 ));
             }
             StepOp::Gemm { layer } => {
-                let gemm = gemm_plans[layer].as_ref().expect("compiled before fan-out");
+                let gemm = gemm_plans[layer].expect("resolved before fan-out");
                 let (src, dst) = arena.src_dst(step.srcs[0], step.dst, &step.dims);
                 act.quantize_into(src.as_slice(), &mut scratch.quantized);
-                ops = ops.merge(gemm.matmul_into(
+                ops = ops.merge(gemm.matmul_patches_into(
                     &scratch.quantized,
                     1,
                     act,
                     dst.as_mut_slice(),
-                    &mut scratch.transposed,
+                    1,
+                    0,
+                    None,
                 ));
             }
             StepOp::Pool(kind) => {
@@ -882,7 +660,7 @@ fn run_plan_single(
                 // output element is scaled and post-processed once, while
                 // still register-resident.
                 ops = ops.merge(conv_image_planned(
-                    gemm_plans[layer].as_ref().expect("compiled before fan-out"),
+                    gemm_plans[layer].expect("resolved before fan-out"),
                     conv.geometry(),
                     conv.act_quantizer(),
                     src,
@@ -895,7 +673,7 @@ fn run_plan_single(
                 // The source is read flat — it may hold an un-flattened
                 // map whose `Flatten` copy the optimizer removed. The
                 // epilogue is fused into the write-back.
-                let gemm = gemm_plans[layer].as_ref().expect("compiled before fan-out");
+                let gemm = gemm_plans[layer].expect("resolved before fan-out");
                 let (src, dst) = arena.src_dst(step.srcs[0], step.dst, &step.dims);
                 act.quantize_into(src.as_slice(), &mut scratch.quantized);
                 ops = ops.merge(gemm.matmul_patches_into(
@@ -921,33 +699,69 @@ fn run_plan_single(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deploy::QuantizedConv;
     use crate::msq::MsqPolicy;
+    use crate::pipeline::QuantPipeline;
     use crate::schemes::Scheme;
+    use mixmatch_nn::layers::{Conv2d, Linear};
+    use mixmatch_nn::module::{Layer, Sequential};
+    use mixmatch_tensor::TensorRng;
 
-    fn conv_fixture(seed: u64, geom: ConvGeometry, policy: &MsqPolicy) -> QuantizedConv {
+    /// A one-layer pipeline model around `layer`, with its plan compiled at
+    /// `input`.
+    fn single_layer(
+        layer: impl Layer + 'static,
+        policy: MsqPolicy,
+        act: ActQuantizer,
+        input: &[usize],
+    ) -> CompiledModel {
+        let mut net = Sequential::new();
+        net.push(layer);
+        QuantPipeline::from_policy(policy)
+            .with_act_quantizer(act)
+            .with_input_shape(input)
+            .quantize(&mut net)
+            .expect("quantize single-layer model")
+    }
+
+    fn conv_model(
+        seed: u64,
+        geom: ConvGeometry,
+        policy: MsqPolicy,
+        input_hw: usize,
+    ) -> CompiledModel {
         let mut rng = TensorRng::seed_from(seed);
-        let w = Tensor::randn(&[geom.out_channels, geom.gemm_k()], &mut rng);
-        if geom.groups == 1 {
-            QuantizedConv::new(geom, &w, policy, ActQuantizer::new(4, 1.2))
-        } else {
-            QuantizedConv::depthwise(geom, &w, policy, ActQuantizer::new(4, 1.2))
+        single_layer(
+            Conv2d::with_geometry("conv", geom, false, &mut rng),
+            policy,
+            ActQuantizer::new(4, 1.2),
+            &[geom.in_channels, input_hw, input_hw],
+        )
+    }
+
+    fn conv_of(model: &QuantizedModel) -> &QuantizedConv {
+        match &model.layers()[0].form {
+            DeployForm::Conv(conv) => conv,
+            DeployForm::Matrix(_) => panic!("a Conv2d deploys as a conv"),
         }
     }
 
     #[test]
     fn dense_conv_batch_is_bit_identical_to_single_path() {
-        let conv = conv_fixture(
+        let compiled = conv_model(
             1,
             ConvGeometry::new(3, 6, 3, 1, 1),
-            &MsqPolicy::msq_optimal(),
+            MsqPolicy::msq_optimal(),
+            7,
         );
+        let conv = conv_of(&compiled);
         let mut rng = TensorRng::seed_from(2);
         let images: Vec<Tensor> = (0..5)
             .map(|_| Tensor::rand_uniform(&[3, 7, 7], 0.0, 1.2, &mut rng))
             .collect();
         for threads in [1, 2, 4] {
             let engine = BatchEngine::with_threads(threads);
-            let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+            let run = engine.run_plan_batch(&compiled, &images).expect("batch");
             for (img, out) in images.iter().zip(&run.outputs) {
                 let single = conv.forward_image(img);
                 assert_eq!(out.dims(), single.dims());
@@ -958,17 +772,19 @@ mod tests {
 
     #[test]
     fn depthwise_conv_batch_is_bit_identical_to_single_path() {
-        let conv = conv_fixture(
+        let compiled = conv_model(
             3,
             ConvGeometry::depthwise(4, 3, 1, 1),
-            &MsqPolicy::single(Scheme::Sp2, 4),
+            MsqPolicy::single(Scheme::Sp2, 4),
+            6,
         );
+        let conv = conv_of(&compiled);
         let mut rng = TensorRng::seed_from(4);
         let images: Vec<Tensor> = (0..4)
             .map(|_| Tensor::rand_uniform(&[4, 6, 6], 0.0, 1.2, &mut rng))
             .collect();
         let engine = BatchEngine::with_threads(2);
-        let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+        let run = engine.run_plan_batch(&compiled, &images).expect("batch");
         for (img, out) in images.iter().zip(&run.outputs) {
             assert_eq!(out.as_slice(), conv.forward_image(img).as_slice());
         }
@@ -977,13 +793,14 @@ mod tests {
     #[test]
     fn batch_ops_equal_sum_of_single_image_ops() {
         let geom = ConvGeometry::new(2, 4, 3, 1, 0);
-        let conv = conv_fixture(5, geom, &MsqPolicy::msq_half());
+        let compiled = conv_model(5, geom, MsqPolicy::msq_half(), 5);
+        let conv = conv_of(&compiled);
         let mut rng = TensorRng::seed_from(6);
         let images: Vec<Tensor> = (0..3)
             .map(|_| Tensor::rand_uniform(&[2, 5, 5], 0.0, 1.2, &mut rng))
             .collect();
         let engine = BatchEngine::with_threads(2);
-        let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+        let run = engine.run_plan_batch(&compiled, &images).expect("batch");
         // Reference accounting through the interpreted kernels.
         let act = *conv.act_quantizer();
         let mut expect = OpCounts::default();
@@ -999,16 +816,19 @@ mod tests {
     #[test]
     fn matrix_batch_is_bit_identical_to_matvec() {
         let mut rng = TensorRng::seed_from(7);
-        let w = Tensor::randn(&[6, 11], &mut rng);
-        let qm = QuantizedMatrix::from_float(&w, &MsqPolicy::msq_optimal());
         let act = ActQuantizer::new(4, 1.0);
+        let compiled = single_layer(
+            Linear::with_name("fc", 11, 6, false, &mut rng),
+            MsqPolicy::msq_optimal(),
+            act,
+            &[11],
+        );
+        let qm = compiled.layers()[0].matrix();
         let inputs: Vec<Tensor> = (0..5)
             .map(|_| Tensor::rand_uniform(&[11], 0.0, 1.0, &mut rng))
             .collect();
         let engine = BatchEngine::with_threads(3);
-        let run = engine
-            .forward_matrix_batch(&qm, &act, &inputs)
-            .expect("batch");
+        let run = engine.run_plan_batch(&compiled, &inputs).expect("batch");
         let mut expect_ops = OpCounts::default();
         for (x, out) in inputs.iter().zip(&run.outputs) {
             let (y, ops) = qm.matvec(&act.quantize(x.as_slice()), &act);
@@ -1020,51 +840,94 @@ mod tests {
 
     #[test]
     fn engine_rejects_malformed_inputs_without_panicking() {
-        let conv = conv_fixture(9, ConvGeometry::new(3, 4, 3, 1, 1), &MsqPolicy::msq_half());
+        let compiled = conv_model(
+            9,
+            ConvGeometry::new(3, 4, 3, 1, 1),
+            MsqPolicy::msq_half(),
+            5,
+        );
         let engine = BatchEngine::with_threads(1);
         let bad = vec![Tensor::zeros(&[2, 5, 5])];
         assert!(matches!(
-            engine.forward_conv_batch(&conv, &bad),
+            engine.run_plan_batch(&compiled, &bad),
             Err(QuantError::ShapeMismatch { .. })
         ));
         let mut rng = TensorRng::seed_from(10);
-        let w = Tensor::randn(&[3, 8], &mut rng);
-        let qm = QuantizedMatrix::from_float(&w, &MsqPolicy::msq_half());
-        let act = ActQuantizer::new(4, 1.0);
+        let dense = single_layer(
+            Linear::with_name("fc", 8, 3, false, &mut rng),
+            MsqPolicy::msq_half(),
+            ActQuantizer::new(4, 1.0),
+            &[8],
+        );
         assert!(matches!(
-            engine.forward_matrix_batch(&qm, &act, &[Tensor::zeros(&[7])]),
+            engine.run_plan_batch(&dense, &[Tensor::zeros(&[7])]),
             Err(QuantError::ShapeMismatch { .. })
         ));
     }
 
     #[test]
     fn empty_batch_yields_empty_run() {
-        let conv = conv_fixture(11, ConvGeometry::new(2, 2, 3, 1, 1), &MsqPolicy::msq_half());
+        let compiled = conv_model(
+            11,
+            ConvGeometry::new(2, 2, 3, 1, 1),
+            MsqPolicy::msq_half(),
+            4,
+        );
         let engine = BatchEngine::with_threads(2);
-        let run = engine.forward_conv_batch(&conv, &[]).expect("empty");
+        let run = engine.run_plan_batch(&compiled, &[]).expect("empty");
         assert!(run.outputs.is_empty());
         assert_eq!(run.ops, OpCounts::default());
     }
 
     #[test]
+    fn gemm_plans_are_built_once_per_model() {
+        let compiled = conv_model(
+            13,
+            ConvGeometry::new(3, 5, 3, 1, 1),
+            MsqPolicy::msq_half(),
+            6,
+        );
+        let plan = compiled.plan().expect("plan");
+        let mut rng = TensorRng::seed_from(14);
+        let images: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::rand_uniform(&[3, 6, 6], 0.0, 1.2, &mut rng))
+            .collect();
+        let engine = BatchEngine::with_threads(2);
+        let first = engine.run_plan(&compiled, plan, &images).expect("first");
+        let cached: *const GemmPlan = compiled.gemm_plan(0).expect("cached plan");
+        let second = engine.run_plan(&compiled, plan, &images).expect("second");
+        assert_eq!(first.outputs.len(), second.outputs.len());
+        for (a, b) in first.outputs.iter().zip(&second.outputs) {
+            assert_eq!(a.as_slice(), b.as_slice());
+        }
+        // Every call executes the model's cached plan, not a rebuilt one;
+        // an empty batch resolves the same plan and builds nothing new.
+        let resolved = validate(&compiled, plan, &images).expect("valid");
+        assert!(std::ptr::eq(resolved[0].expect("conv layer"), cached));
+        let empty = engine.run_plan(&compiled, plan, &[]).expect("empty");
+        assert!(empty.outputs.is_empty());
+        let resolved = validate(&compiled, plan, &[]).expect("valid");
+        assert!(std::ptr::eq(resolved[0].expect("conv layer"), cached));
+        assert!(std::ptr::eq(compiled.gemm_plan(0).expect("cached"), cached));
+    }
+
+    #[test]
     fn run_plan_batch_handles_batch_sizes_zero_and_one() {
-        use mixmatch_nn::layers::{Linear, Relu};
-        use mixmatch_nn::module::Sequential;
+        use mixmatch_nn::layers::Relu;
 
         let mut rng = TensorRng::seed_from(12);
         let mut model = Sequential::new();
         model.push(Linear::with_name("fc1", 6, 9, true, &mut rng));
         model.push(Relu::new());
         model.push(Linear::with_name("fc2", 9, 4, false, &mut rng));
-        let compiled = crate::pipeline::QuantPipeline::from_policy(MsqPolicy::msq_half())
+        let compiled = QuantPipeline::from_policy(MsqPolicy::msq_half())
             .with_input_shape(&[6])
             .quantize(&mut model)
             .expect("quantize mlp");
 
         for threads in [1, 2] {
             let engine = BatchEngine::with_threads(threads);
-            // Batch 0: empty result, zero ops — consistently across the
-            // plan path and the per-layer paths (no error, no panic).
+            // Batch 0: empty result, zero ops (no error, no panic).
             let run = engine.run_plan_batch(&compiled, &[]).expect("empty batch");
             assert!(run.outputs.is_empty());
             assert_eq!(run.ops, OpCounts::default());

@@ -33,7 +33,7 @@ use crate::admm::{AdmmConfig, AdmmQuantizer, LayerOverride, LayerQuantReport};
 use crate::deploy::QuantizedConv;
 use crate::error::QuantError;
 use crate::graph::ExecutionPlan;
-use crate::integer::{ActQuantizer, PackedMatrix, QuantizedMatrix};
+use crate::integer::{ActQuantizer, GemmPlan, PackedMatrix, QuantizedMatrix};
 use crate::msq::MsqPolicy;
 use crate::qat::{train_classifier_with_quantizer, EpochLog, QatConfig};
 use crate::rowwise::RowAssignment;
@@ -44,6 +44,7 @@ use mixmatch_nn::quantize::{QuantLayerDesc, QuantLayerKind, QuantizableModel};
 use mixmatch_tensor::{stats, Tensor};
 use std::fmt;
 use std::ops::Deref;
+use std::sync::OnceLock;
 
 /// Input feature-map edge assumed when neither the pipeline nor its
 /// hardware target pins one (matches `FpgaTarget`'s default).
@@ -438,6 +439,7 @@ impl QuantPipeline {
             policy: self.policy,
             act: self.act,
             target: self.target,
+            gemm_plans: layers.iter().map(|_| OnceLock::new()).collect(),
             layers,
             logs,
             graph,
@@ -540,6 +542,10 @@ pub struct QuantizedModel {
     act: ActQuantizer,
     target: Option<Box<dyn HardwareTarget>>,
     layers: Vec<QuantizedLayer>,
+    /// Each layer's verified GEMM plan, built on first engine use (see
+    /// [`QuantizedModel::gemm_plan`]); `gemm_plans[l]` belongs to
+    /// `layers[l]`.
+    gemm_plans: Vec<OnceLock<Result<GemmPlan, QuantError>>>,
     logs: Vec<EpochLog>,
     graph: Option<LoweredGraph>,
 }
@@ -696,10 +702,39 @@ impl QuantizedModel {
             policy,
             act,
             target: None,
+            gemm_plans: layers.iter().map(|_| OnceLock::new()).collect(),
             layers,
             logs: Vec::new(),
             graph: None,
         }
+    }
+
+    /// Layer `index`'s executable GEMM plan, built once on first use and
+    /// shared by every later engine call: the plan must be representable,
+    /// and the layer's activation ceiling (its conv quantizer, or the
+    /// model-wide one for matrix layers) must provably fit the
+    /// accumulator. A failure is cached too, so every call sees the same
+    /// typed error. The building thread reports the plan's row layout to
+    /// the metrics registry, once per loaded model.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `index` is out of range.
+    pub(crate) fn gemm_plan(&self, index: usize) -> Result<&GemmPlan, QuantError> {
+        self.gemm_plans[index]
+            .get_or_init(|| {
+                let layer = &self.layers[index];
+                let act = match &layer.form {
+                    DeployForm::Conv(conv) => conv.act_quantizer(),
+                    DeployForm::Matrix(_) => &self.act,
+                };
+                let plan = layer.matrix().try_plan()?;
+                plan.check_act(act)?;
+                crate::engine::note_kernel_rows(&plan);
+                Ok(plan)
+            })
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// Builds the pipeline report: per-layer quantization summary plus, when

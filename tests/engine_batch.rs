@@ -1,15 +1,19 @@
 //! Integration tests for the batched integer inference engine: the pooled
-//! `BatchEngine` must be **bit-identical** to the single-image deployment
-//! path (`QuantizedConv::forward_image` / `QuantizedMatrix::matvec`) on
-//! every model the pipeline produces, and the batched hardware summary must
-//! sit next to the measured path coherently.
+//! `BatchEngine::run_plan*` path must be **bit-identical** to the
+//! single-image deployment kernels (`QuantizedConv::forward_image` /
+//! `QuantizedMatrix::matvec`) on single-layer pipeline models of every
+//! deployment form, and the batched hardware summary must sit next to the
+//! measured path coherently.
 
+mod common;
+
+use common::{conv_of, single_layer};
+use mixmatch::nn::layers::{Conv2d, Linear};
 use mixmatch::nn::models::{ResNet, ResNetConfig};
 use mixmatch::prelude::*;
-use mixmatch::quant::deploy::QuantizedConv;
-use mixmatch::quant::engine::{BatchEngine, ModelBatch};
-use mixmatch::quant::integer::{ActQuantizer, QuantizedMatrix};
-use mixmatch::quant::pipeline::DeployForm;
+use mixmatch::quant::codes::OpCounts;
+use mixmatch::quant::engine::BatchEngine;
+use mixmatch::quant::integer::ActQuantizer;
 use mixmatch::tensor::im2col::ConvGeometry;
 use proptest::prelude::*;
 
@@ -21,58 +25,92 @@ fn quantized_resnet(input_hw: usize) -> CompiledModel {
         .expect("quantize resnet-mini")
 }
 
-/// The acceptance property: on the pipeline model, every layer's batched
-/// outputs equal the single-image path bit for bit, at several thread
-/// counts, for both deployment forms.
+/// A one-conv pipeline model with a 4-bit activation quantizer clipped at
+/// `clip`, compiled for `hw`×`hw` inputs.
+fn conv_model(
+    rng: &mut TensorRng,
+    geom: ConvGeometry,
+    policy: MsqPolicy,
+    clip: f32,
+    hw: usize,
+) -> CompiledModel {
+    single_layer(
+        Conv2d::with_geometry("conv", geom, false, rng),
+        policy,
+        ActQuantizer::new(4, clip),
+        &[geom.in_channels, hw, hw],
+    )
+}
+
+/// The acceptance property: for dense-conv, depthwise-conv and dense
+/// pipeline models, `run_plan_batch` output equals the single-image path
+/// bit for bit, at several thread counts.
 #[test]
 fn engine_batch_is_bit_identical_to_single_image_path_on_pipeline_model() {
-    let quantized = quantized_resnet(8);
-    let act = *quantized.act_quantizer();
     let mut rng = TensorRng::seed_from(6);
-    let batch = ModelBatch::sample(&quantized, 8, 4, &mut rng);
+    let convs = [
+        conv_model(
+            &mut rng,
+            ConvGeometry::new(4, 8, 3, 1, 1),
+            MsqPolicy::msq_optimal(),
+            1.0,
+            8,
+        ),
+        conv_model(
+            &mut rng,
+            ConvGeometry::depthwise(6, 3, 2, 1),
+            MsqPolicy::msq_half(),
+            1.0,
+            8,
+        ),
+    ];
+    let act = ActQuantizer::new(4, 1.0);
+    let dense = single_layer(
+        Linear::with_name("fc", 24, 10, false, &mut rng),
+        MsqPolicy::msq_optimal(),
+        act,
+        &[24],
+    );
     let host = std::thread::available_parallelism()
         .map(|v| v.get())
         .unwrap_or(1);
-    let mut convs = 0usize;
-    let mut dense = 0usize;
+    let mut conv_checks = 0usize;
+    let mut dense_checks = 0usize;
     for threads in [1, 2, host] {
         let engine = BatchEngine::with_threads(threads);
-        let run = engine.forward_batch(&quantized, &batch).expect("batched");
-        assert_eq!(run.outputs.len(), quantized.layers().len());
-        for ((layer, inputs), outputs) in quantized
-            .layers()
-            .iter()
-            .zip(&batch.inputs)
-            .zip(&run.outputs)
-        {
-            for (input, output) in inputs.iter().zip(outputs) {
-                match &layer.form {
-                    DeployForm::Conv(conv) => {
-                        convs += 1;
-                        let single = conv.forward_image(input);
-                        assert_eq!(
-                            output.as_slice(),
-                            single.as_slice(),
-                            "{} (threads {threads})",
-                            layer.desc.name
-                        );
-                    }
-                    DeployForm::Matrix(matrix) => {
-                        dense += 1;
-                        let (single, _) = matrix.matvec(&act.quantize(input.as_slice()), &act);
-                        assert_eq!(
-                            output.as_slice(),
-                            &single[..],
-                            "{} (threads {threads})",
-                            layer.desc.name
-                        );
-                    }
-                }
+        for compiled in &convs {
+            let conv = conv_of(compiled);
+            let images: Vec<Tensor> = (0..4)
+                .map(|_| {
+                    Tensor::rand_uniform(compiled.plan().unwrap().input_dims(), 0.0, 1.0, &mut rng)
+                })
+                .collect();
+            let run = engine
+                .run_plan_batch(compiled, &images)
+                .expect("conv batch");
+            for (image, output) in images.iter().zip(&run.outputs) {
+                conv_checks += 1;
+                assert_eq!(
+                    output.as_slice(),
+                    conv.forward_image(image).as_slice(),
+                    "groups {} (threads {threads})",
+                    conv.geometry().groups
+                );
             }
         }
+        let inputs: Vec<Tensor> = (0..4)
+            .map(|_| Tensor::rand_uniform(&[24], 0.0, 1.0, &mut rng))
+            .collect();
+        let run = engine.run_plan_batch(&dense, &inputs).expect("dense batch");
+        let matrix = dense.layers()[0].matrix();
+        for (input, output) in inputs.iter().zip(&run.outputs) {
+            dense_checks += 1;
+            let (single, _) = matrix.matvec(&act.quantize(input.as_slice()), &act);
+            assert_eq!(output.as_slice(), &single[..], "threads {threads}");
+        }
     }
-    assert!(convs > 0, "resnet must exercise the conv path");
-    assert!(dense > 0, "resnet must exercise the dense path");
+    assert!(conv_checks > 0, "the conv path must be exercised");
+    assert!(dense_checks > 0, "the dense path must be exercised");
 }
 
 /// The batched cycle-simulator prediction rides along with the engine:
@@ -111,13 +149,13 @@ proptest! {
     ) {
         let mut rng = TensorRng::seed_from(seed);
         let geom = ConvGeometry::new(cin, cout, 3, stride, pad);
-        let w = Tensor::randn(&[cout, geom.gemm_k()], &mut rng);
-        let conv = QuantizedConv::new(geom, &w, &MsqPolicy::msq_optimal(), ActQuantizer::new(4, 1.1));
+        let compiled = conv_model(&mut rng, geom, MsqPolicy::msq_optimal(), 1.1, hw);
+        let conv = conv_of(&compiled);
         let images: Vec<Tensor> = (0..3)
             .map(|_| Tensor::rand_uniform(&[cin, hw, hw], -0.2, 1.3, &mut rng))
             .collect();
         let engine = BatchEngine::with_threads(threads);
-        let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+        let run = engine.run_plan_batch(&compiled, &images).expect("batch");
         for (img, out) in images.iter().zip(&run.outputs) {
             let single = conv.forward_image(img);
             prop_assert_eq!(out.as_slice(), single.as_slice());
@@ -135,20 +173,20 @@ proptest! {
     ) {
         let mut rng = TensorRng::seed_from(seed);
         let geom = ConvGeometry::depthwise(channels, 3, stride, 1);
-        let w = Tensor::randn(&[channels, 9], &mut rng);
-        let conv = QuantizedConv::depthwise(geom, &w, &MsqPolicy::msq_half(), ActQuantizer::new(4, 1.0));
+        let compiled = conv_model(&mut rng, geom, MsqPolicy::msq_half(), 1.0, hw);
+        let conv = conv_of(&compiled);
         let images: Vec<Tensor> = (0..3)
             .map(|_| Tensor::rand_uniform(&[channels, hw, hw], 0.0, 1.0, &mut rng))
             .collect();
         let engine = BatchEngine::with_threads(threads);
-        let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+        let run = engine.run_plan_batch(&compiled, &images).expect("batch");
         for (img, out) in images.iter().zip(&run.outputs) {
             let single = conv.forward_image(img);
             prop_assert_eq!(out.as_slice(), single.as_slice());
         }
     }
 
-    /// Dense matrices: batched engine vs `matvec`, including the op census.
+    /// Dense layers: batched engine vs `matvec`, including the op census.
     #[test]
     fn matrix_forward_batch_bit_identical(
         seed in 0u64..200,
@@ -157,15 +195,20 @@ proptest! {
         batch in 1usize..6,
     ) {
         let mut rng = TensorRng::seed_from(seed);
-        let w = Tensor::randn(&[rows, cols], &mut rng);
-        let qm = QuantizedMatrix::from_float(&w, &MsqPolicy::msq_optimal());
         let act = ActQuantizer::new(4, 1.0);
+        let compiled = single_layer(
+            Linear::with_name("fc", cols, rows, false, &mut rng),
+            MsqPolicy::msq_optimal(),
+            act,
+            &[cols],
+        );
+        let qm = compiled.layers()[0].matrix();
         let inputs: Vec<Tensor> = (0..batch)
             .map(|_| Tensor::rand_uniform(&[cols], 0.0, 1.0, &mut rng))
             .collect();
         let engine = BatchEngine::with_threads(2);
-        let run = engine.forward_matrix_batch(&qm, &act, &inputs).expect("batch");
-        let mut ops = mixmatch::quant::codes::OpCounts::default();
+        let run = engine.run_plan_batch(&compiled, &inputs).expect("batch");
+        let mut ops = OpCounts::default();
         for (x, out) in inputs.iter().zip(&run.outputs) {
             let (y, o) = qm.matvec(&act.quantize(x.as_slice()), &act);
             ops = ops.merge(o);

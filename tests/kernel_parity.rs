@@ -10,9 +10,12 @@
 //! environment, the `with_tier` seam compares both tiers of the *same*
 //! plan in-process.
 
+mod common;
+
+use common::{conv_of, single_layer};
+use mixmatch::nn::layers::{Conv2d, Linear};
 use mixmatch::prelude::*;
 use mixmatch::quant::codes::OpCounts;
-use mixmatch::quant::deploy::QuantizedConv;
 use mixmatch::quant::engine::BatchEngine;
 use mixmatch::quant::integer::{ActQuantizer, QuantizedMatrix};
 use mixmatch::quant::msq::MsqPolicy;
@@ -44,6 +47,18 @@ fn adversarial_activations(rng: &mut TensorRng, len: usize, clip: f32) -> Vec<f3
         .collect()
 }
 
+/// The patch-major `[n, cols]` tile of a row-major `[cols, n]` activation
+/// matrix — the layout the engine's im2col tiles feed the kernels.
+fn patch_major(x: &[u32], cols: usize, n: usize) -> Vec<u32> {
+    let mut tile = vec![0u32; cols * n];
+    for k in 0..cols {
+        for j in 0..n {
+            tile[j * cols + k] = x[k * n + j];
+        }
+    }
+    tile
+}
+
 /// One matrix through three executions of the same shapes: the interpreted
 /// reference, the scalar-pinned plan, and the host-dispatched plan. All
 /// three must agree bit-for-bit on outputs *and* op accounting.
@@ -52,14 +67,14 @@ fn assert_three_way_parity(qm: &QuantizedMatrix, act: &ActQuantizer, n: usize, s
     let x = adversarial_activations(&mut rng, qm.cols() * n, act.clip);
     let xq = act.quantize(&x);
     let (y_ref, ops_ref) = qm.matmul(&xq, n, act);
+    let tile = patch_major(&xq, qm.cols(), n);
     let plan = qm.try_plan().expect("plan");
     plan.check_act(act)
         .expect("bound holds for 4-bit numerators");
     for tier in [SimdTier::Scalar, detected_tier()] {
         let tiered = plan.clone().with_tier(tier);
         let mut out = vec![f32::NAN; qm.rows() * n];
-        let mut scratch = Vec::new();
-        let ops = tiered.matmul_into(&xq, n, act, &mut out, &mut scratch);
+        let ops = tiered.matmul_patches_into(&tile, n, act, &mut out, n, 0, None);
         assert_eq!(
             out,
             y_ref.as_slice(),
@@ -154,13 +169,18 @@ fn engine_conv_parity_with_nan_inf_images_at_1_2_host_threads() {
         ConvGeometry::new(2, 5, 3, 2, 0),
         ConvGeometry::depthwise(4, 3, 1, 1),
     ] {
-        let w = Tensor::randn(&[geom.out_channels, geom.gemm_k()], &mut rng);
-        let act = ActQuantizer::new(4, 1.2);
-        let conv = if geom.groups == 1 {
-            QuantizedConv::new(geom, &w, &MsqPolicy::msq_optimal(), act)
+        let policy = if geom.groups == 1 {
+            MsqPolicy::msq_optimal()
         } else {
-            QuantizedConv::depthwise(geom, &w, &MsqPolicy::single(Scheme::Sp2, 4), act)
+            MsqPolicy::single(Scheme::Sp2, 4)
         };
+        let compiled = single_layer(
+            Conv2d::with_geometry("conv", geom, false, &mut rng),
+            policy,
+            ActQuantizer::new(4, 1.2),
+            &[geom.in_channels, 7, 7],
+        );
+        let conv = conv_of(&compiled);
         let images: Vec<Tensor> = (0..6)
             .map(|_| {
                 let vals = adversarial_activations(&mut rng, geom.in_channels * 49, 1.2);
@@ -169,7 +189,7 @@ fn engine_conv_parity_with_nan_inf_images_at_1_2_host_threads() {
             .collect();
         for threads in [1, 2, host_threads()] {
             let engine = BatchEngine::with_threads(threads);
-            let run = engine.forward_conv_batch(&conv, &images).expect("batch");
+            let run = engine.run_plan_batch(&compiled, &images).expect("batch");
             for (img, out) in images.iter().zip(&run.outputs) {
                 assert_eq!(
                     out.as_slice(),
@@ -224,15 +244,21 @@ fn shrinking_batches_on_one_worker_leave_no_stale_scratch() {
             );
         }
     }
-    // Mixed spatial sizes through the per-layer conv path: a 9×9 image's
-    // scratch is reused by a 5×5 one, then 7×7, on the same worker.
-    let geom = ConvGeometry::new(3, 6, 3, 1, 1);
-    let w = Tensor::randn(&[6, geom.gemm_k()], &mut rng);
-    let conv = QuantizedConv::new(geom, &w, &MsqPolicy::msq_half(), ActQuantizer::new(4, 1.2));
+    // Mixed spatial sizes through one conv model, its plan compiled at
+    // each size: a 9×9 image's scratch is reused by a 5×5 one, then 7×7,
+    // on the same worker.
+    let conv_model = single_layer(
+        Conv2d::with_geometry("conv", ConvGeometry::new(3, 6, 3, 1, 1), false, &mut rng),
+        MsqPolicy::msq_half(),
+        ActQuantizer::new(4, 1.2),
+        &[3, 9, 9],
+    );
+    let conv = conv_of(&conv_model);
     for hw in [9usize, 5, 7] {
+        let plan = conv_model.model().compile(&[3, hw, hw]).expect("compile");
         let img = Tensor::rand_uniform(&[3, hw, hw], 0.0, 1.2, &mut rng);
         let run = engine
-            .forward_conv_batch(&conv, std::slice::from_ref(&img))
+            .run_plan(conv_model.model(), &plan, std::slice::from_ref(&img))
             .expect("conv batch");
         assert_eq!(
             run.outputs[0].as_slice(),
@@ -255,13 +281,13 @@ fn packed_artifact_plans_match_interpreter_under_both_tiers() {
     let x = adversarial_activations(&mut rng, 45 * 3, 1.0);
     let xq = act.quantize(&x);
     let (y_ref, ops_ref) = qm.matmul(&xq, 3, &act);
+    let tile = patch_major(&xq, 45, 3);
     let plan = packed.try_plan().expect("plan from packed bytes");
     assert_eq!(plan.packed_rows(), 8, "all 4-bit rows must stay packed");
     for tier in [SimdTier::Scalar, detected_tier()] {
         let tiered = plan.clone().with_tier(tier);
         let mut out = vec![0.0f32; 8 * 3];
-        let mut scratch = Vec::new();
-        let ops = tiered.matmul_into(&xq, 3, &act, &mut out, &mut scratch);
+        let ops = tiered.matmul_patches_into(&tile, 3, &act, &mut out, 3, 0, None);
         assert_eq!(out, y_ref.as_slice(), "{tier:?}");
         assert_eq!(ops, ops_ref, "{tier:?} ops");
     }
@@ -269,19 +295,24 @@ fn packed_artifact_plans_match_interpreter_under_both_tiers() {
 
 /// Overflow satellite, end to end: a P2 codebook wide enough to wrap the
 /// accumulator must fail with the typed error through the public engine
-/// entry point — never wrap silently, never panic.
+/// entry point — never wrap silently, never panic — and keep failing typed
+/// once the failed plan build is cached.
 #[test]
 fn engine_surfaces_typed_overflow_for_wide_pow2_codebooks() {
-    use mixmatch::quant::error::QuantError;
     let mut rng = TensorRng::seed_from(106);
-    let w = Tensor::randn(&[4, 16], &mut rng);
-    let qm = QuantizedMatrix::from_float(&w, &MsqPolicy::single(Scheme::Pow2, 7));
-    let act = ActQuantizer::new(4, 1.0);
+    let compiled = single_layer(
+        Linear::with_name("fc", 16, 4, false, &mut rng),
+        MsqPolicy::single(Scheme::Pow2, 7),
+        ActQuantizer::new(4, 1.0),
+        &[16],
+    );
     let engine = BatchEngine::with_threads(1);
     let inputs = vec![Tensor::rand_uniform(&[16], 0.0, 1.0, &mut rng)];
-    match engine.forward_matrix_batch(&qm, &act, &inputs) {
-        Err(QuantError::Overflow(o)) => assert!(o.bound > o.limit),
-        other => panic!("expected typed Overflow, got {other:?}"),
+    for call in 0..2 {
+        match engine.run_plan_batch(&compiled, &inputs) {
+            Err(QuantError::Overflow(o)) => assert!(o.bound > o.limit),
+            other => panic!("call {call}: expected typed Overflow, got {other:?}"),
+        }
     }
 }
 
@@ -304,31 +335,31 @@ proptest! {
         let act = ActQuantizer::new([4u32, 8, 15, 16][bits_idx], 1.1);
         let x = adversarial_activations(&mut rng, cols * n, act.clip);
         let xq = act.quantize(&x);
+        let tile = patch_major(&xq, cols, n);
         let (y_ref, ops_ref) = qm.matmul(&xq, n, &act);
+        // Depthwise primitive over the same matrix.
+        let mut row_ref = Vec::new();
+        let mut row_ops_ref = OpCounts::default();
+        for r in 0..rows {
+            let (y, o) = qm.matmul_row(r, &xq, n, &act);
+            row_ref.extend(y);
+            row_ops_ref = row_ops_ref.merge(o);
+        }
         let plan = qm.try_plan().expect("plan");
         for tier in [SimdTier::Scalar, detected_tier()] {
             let tiered = plan.clone().with_tier(tier);
             let mut out = vec![f32::NAN; rows * n];
-            let mut scratch = Vec::new();
-            let ops = tiered.matmul_into(&xq, n, &act, &mut out, &mut scratch);
+            let ops = tiered.matmul_patches_into(&tile, n, &act, &mut out, n, 0, None);
             prop_assert_eq!(&out[..], y_ref.as_slice(), "{:?}", tier);
             prop_assert_eq!(ops, ops_ref);
+            let mut got = vec![f32::NAN; rows * n];
+            let mut got_ops = OpCounts::default();
+            for r in 0..rows {
+                got_ops = got_ops.merge(tiered.row_matmul_patches_into(
+                    r, &tile, n, &act, &mut got[r * n..(r + 1) * n], None));
+            }
+            prop_assert_eq!(&got, &row_ref, "{:?}", tier);
+            prop_assert_eq!(got_ops, row_ops_ref);
         }
-        // Depthwise primitive over the same matrix.
-        let mut expect_ops = OpCounts::default();
-        let mut expect = Vec::new();
-        for r in 0..rows {
-            let (y, o) = qm.matmul_row(r, &xq, n, &act);
-            expect.extend(y);
-            expect_ops = expect_ops.merge(o);
-        }
-        let mut got = vec![f32::NAN; rows * n];
-        let mut got_ops = OpCounts::default();
-        for r in 0..rows {
-            got_ops = got_ops.merge(
-                plan.row_matmul_into(r, &xq, n, &act, &mut got[r * n..(r + 1) * n]));
-        }
-        prop_assert_eq!(got, expect);
-        prop_assert_eq!(got_ops, expect_ops);
     }
 }
