@@ -13,7 +13,9 @@ use std::time::Duration;
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
     /// The bounded admission queue is full — the server is shedding load.
-    /// Back off and retry; admitted requests are unaffected.
+    /// From a fleet: every replica that could take the request refused it
+    /// for a full queue. Back off and retry; admitted requests are
+    /// unaffected.
     Overloaded {
         /// The configured queue depth that was exhausted.
         queue_depth: usize,
@@ -53,8 +55,9 @@ pub enum ServeError {
         /// The remote error's display form.
         detail: String,
     },
-    /// Every fleet replica is evicted or refused the request — the router
-    /// has no placement for this model right now.
+    /// Every fleet replica is evicted or refused the request for a fault
+    /// (not for backpressure) — the router has no placement for this model
+    /// right now.
     NoReplica {
         /// The model the fleet could not place.
         model: String,

@@ -2,44 +2,41 @@
 //! devices, behind one cost-and-load-aware router.
 //!
 //! ```text
-//! callers ── infer(name, image) ──▶ fleet queue ──▶ fleet batcher
-//!    ▲                                               │ coalesce ≤ max_batch
-//!    │                                               │ group by model
-//!    │                                               ▼
-//!    │                       router::place(cost_us × queue_depth, batch)
-//!    │                        │ probe?         │ best healthy    │ failover
-//!    │                        ▼                ▼                 ▼
-//!    │                   replica 0        replica 1   …     replica N-1
-//!    │                  (ModelServer     (ModelServer       (evicted —
-//!    │                   on 7Z045)        on ZU5CG)          skipped)
+//! callers ── infer(name, image) ──▶ router::place(cost_us × (queue_depth + 1))
+//!    ▲    (placed on the caller's     │ probe?         │ best healthy    │ failover
+//!    │     own thread, on arrival)    ▼                ▼                 ▼
+//!    │                           replica 0        replica 1   …     replica N-1
+//!    │                          (ModelServer     (ModelServer       (evicted —
+//!    │                           on 7Z045)        on ZU5CG)          skipped)
 //!    └──── FleetPending::wait ◀─ per-replica dynamic batcher + engine
 //! ```
 //!
 //! Each replica is a full [`ModelServer`] bound to its own
 //! [`HardwareTarget`] (a device from the `FpgaDevice` catalog, typically):
 //! the target prices the served plan through the cycle simulator once per
-//! load, and the router places every *coalesced batch* on the replica with
-//! the lowest estimated completion time — predicted per-image device
-//! latency times (live queue depth + batch size). Replica failures trip a
+//! load. The fleet has no queue, thread or batching window of its own:
+//! [`FleetServer::infer`] places each request as it arrives, on the
+//! replica with the lowest estimated completion time — predicted
+//! per-image device latency times (live queue depth + 1) — and batching
+//! happens once, in that replica's [`ModelServer`]. Replica failures trip a
 //! per-replica circuit breaker ([`crate::health`]): consecutive failures
 //! evict, a timed half-open probe re-admits. Loading an artifact rolls it
 //! across the fleet replica by replica; in-flight requests finish on the
 //! weights they were admitted under (each replica's swap lands on its next
 //! batch boundary), so a fleet-wide hot-swap drops nothing.
 
-use crate::batcher::coalesce;
 use crate::error::ServeError;
 use crate::health::{Health, HealthPolicy, HealthSnapshot};
-use crate::metrics::ModelStats;
+use crate::metrics::{stage_histogram, LatencyHistogram, ModelStats};
 use crate::router;
 use crate::server::{ModelServer, Pending, ServeConfig};
 use mixmatch_quant::export::import_compiled;
 use mixmatch_quant::pipeline::HardwareTarget;
 use mixmatch_tensor::Tensor;
-use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Per-image cost assumed for a replica whose target cannot price the
@@ -65,16 +62,12 @@ impl ReplicaSpec {
     }
 }
 
-/// Fleet-level knobs. Per-replica serving knobs (engine batch size,
-/// replica queue depth, worker threads) ride in [`FleetConfig::replica`].
+/// Fleet-level knobs. The fleet batches nothing itself: every batching
+/// knob (engine batch size, coalesce window, queue depth, worker threads)
+/// belongs to each replica's [`ModelServer`] and rides in
+/// [`FleetConfig::replica`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Largest coalesced batch the router places at once (≥ 1).
-    pub max_batch: usize,
-    /// Longest the fleet batcher holds a batch open.
-    pub max_wait: Duration,
-    /// Bounded fleet admission-queue depth.
-    pub queue_depth: usize,
     /// Knobs for each replica's own [`ModelServer`].
     pub replica: ServeConfig,
     /// Eviction/re-admission policy for every replica.
@@ -87,9 +80,6 @@ pub struct FleetConfig {
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
-            max_batch: 32,
-            max_wait: Duration::from_millis(2),
-            queue_depth: 1024,
             replica: ServeConfig::default(),
             health: HealthPolicy::default(),
             reply_timeout: Duration::from_secs(30),
@@ -98,21 +88,28 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Sets the router's largest coalesced batch (clamped to ≥ 1).
+    /// Shorthand for [`ServeConfig::with_max_batch`] on
+    /// [`FleetConfig::replica`]: each replica's largest engine batch. A
+    /// later [`FleetConfig::with_replica_config`] replaces it.
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch.max(1);
+        self.replica = self.replica.with_max_batch(max_batch);
         self
     }
 
-    /// Sets the fleet batch-coalescing deadline.
+    /// Shorthand for [`ServeConfig::with_max_wait`] on
+    /// [`FleetConfig::replica`]: each replica's coalesce window, the only
+    /// one a fleet request waits through. A later
+    /// [`FleetConfig::with_replica_config`] replaces it.
     pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
-        self.max_wait = max_wait;
+        self.replica = self.replica.with_max_wait(max_wait);
         self
     }
 
-    /// Sets the bounded fleet admission-queue depth (clamped to ≥ 1).
+    /// Shorthand for [`ServeConfig::with_queue_depth`] on
+    /// [`FleetConfig::replica`]: each replica's admission-queue depth. A
+    /// later [`FleetConfig::with_replica_config`] replaces it.
     pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth.max(1);
+        self.replica = self.replica.with_queue_depth(queue_depth);
         self
     }
 
@@ -135,53 +132,63 @@ impl FleetConfig {
     }
 }
 
+/// What the router resolved for one model on one replica at load time.
+struct Routing {
+    /// Predicted µs per image on the replica's device.
+    cost_us: f64,
+    /// The model's `route` stage histogram on the Prometheus page.
+    route: Arc<LatencyHistogram>,
+}
+
 /// One enrolled replica: its server, its pricing target, its breaker.
 pub(crate) struct Replica {
     label: String,
     target: Box<dyn HardwareTarget>,
     server: ModelServer,
     health: Health,
-    /// Model name → predicted µs per image on this replica's device,
-    /// refreshed at every (re)load.
-    costs: RwLock<HashMap<String, f64>>,
+    /// Model name → routing inputs, refreshed at every (re)load.
+    models: RwLock<HashMap<String, Routing>>,
 }
 
 impl Replica {
     fn cost_us(&self, model: &str) -> f64 {
-        self.costs
+        self.models
             .read()
-            .expect("costs poisoned")
+            .expect("routing table poisoned")
             .get(model)
-            .copied()
-            .unwrap_or(DEFAULT_COST_US)
+            .map_or(DEFAULT_COST_US, |r| r.cost_us)
+    }
+
+    /// Records fleet admission → replica handoff as the `route` stage.
+    fn record_route(&self, model: &str, waited: Duration) {
+        match self
+            .models
+            .read()
+            .expect("routing table poisoned")
+            .get(model)
+        {
+            Some(routing) => routing.route.record(waited),
+            // Only between a first load's swap and its routing entry.
+            None => stage_histogram(model, "route").record(waited),
+        }
     }
 }
 
-/// One queued fleet request, waiting for the router.
-struct FleetRequest {
-    model: String,
-    image: Tensor,
-    /// When the fleet admitted the request; admission → replica handoff is
-    /// the `route` lifecycle stage.
-    admitted: Instant,
-    reply: mpsc::Sender<RoutedReply>,
-}
-
-/// What the router sends back through the caller's channel: either the
-/// replica-level [`Pending`] to join, or a terminal placement failure.
-enum RoutedReply {
-    Routed {
-        replica: Arc<Replica>,
-        pending: Pending,
-    },
-    Failed(ServeError),
-}
-
-/// Handle to one in-flight fleet request. Joining it also reports the
-/// outcome to the serving replica's health cell.
-#[derive(Debug)]
+/// Handle to one in-flight fleet request: the replica that admitted it
+/// and that replica's [`Pending`]. Joining it also reports the outcome to
+/// the replica's health cell.
 pub struct FleetPending {
-    rx: mpsc::Receiver<RoutedReply>,
+    replica: Arc<Replica>,
+    pending: Pending,
+}
+
+impl fmt::Debug for FleetPending {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FleetPending")
+            .field("replica", &self.replica.label)
+            .field("pending", &self.pending)
+            .finish()
+    }
 }
 
 impl FleetPending {
@@ -189,40 +196,19 @@ impl FleetPending {
     ///
     /// # Errors
     ///
-    /// Everything [`Pending::wait`] returns, plus
-    /// [`ServeError::NoReplica`] when no replica could take the request.
+    /// Everything [`Pending::wait`] returns.
     pub fn wait(self) -> Result<Tensor, ServeError> {
-        match self.rx.recv() {
-            Err(_) => Err(ServeError::Dropped),
-            Ok(RoutedReply::Failed(e)) => Err(e),
-            Ok(RoutedReply::Routed { replica, pending }) => settle(&replica, pending.wait()),
-        }
+        settle(&self.replica, self.pending.wait())
     }
 
-    /// Blocks until the response arrives or `timeout` elapses — the
-    /// deadline spans routing *and* the replica's reply, so a replica
-    /// dying mid-batch cannot park the caller forever.
+    /// Blocks until the response arrives or `timeout` elapses, so a
+    /// replica dying mid-batch cannot park the caller forever.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Timeout`] when the deadline passes first, plus
-    /// everything [`FleetPending::wait`] can return.
+    /// Everything [`Pending::wait_timeout`] returns.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Tensor, ServeError> {
-        let start = Instant::now();
-        let routed = match self.rx.recv_timeout(timeout) {
-            Ok(routed) => routed,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                return Err(ServeError::Timeout { waited: timeout })
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return Err(ServeError::Dropped),
-        };
-        match routed {
-            RoutedReply::Failed(e) => Err(e),
-            RoutedReply::Routed { replica, pending } => {
-                let remaining = timeout.saturating_sub(start.elapsed());
-                settle(&replica, pending.wait_timeout(remaining))
-            }
-        }
+        settle(&self.replica, self.pending.wait_timeout(timeout))
     }
 }
 
@@ -277,22 +263,17 @@ pub struct FleetStats {
 pub struct FleetServer {
     config: FleetConfig,
     replicas: Vec<Arc<Replica>>,
-    /// Admission side of the fleet queue; `None` once shutdown started.
-    queue: Mutex<Option<SyncSender<FleetRequest>>>,
-    batcher: Mutex<Option<JoinHandle<()>>>,
+    /// Set when shutdown starts. The `Release` store precedes each
+    /// replica's queue closing under that replica's lock, so a caller a
+    /// closed replica refuses reads `true` with its `Acquire` load.
+    closed: AtomicBool,
 }
 
 impl FleetServer {
-    /// Starts a fleet with one replica per spec (and the fleet's router
-    /// thread). Panics on an empty spec list — a fleet of zero replicas
-    /// can never serve.
+    /// Starts a fleet with one replica per spec. Panics on an empty spec
+    /// list — a fleet of zero replicas can never serve.
     pub fn start(config: FleetConfig, specs: Vec<ReplicaSpec>) -> Self {
         assert!(!specs.is_empty(), "a fleet needs at least one replica");
-        let config = FleetConfig {
-            max_batch: config.max_batch.max(1),
-            queue_depth: config.queue_depth.max(1),
-            ..config
-        };
         let replicas: Vec<Arc<Replica>> = specs
             .into_iter()
             .map(|spec| {
@@ -301,22 +282,14 @@ impl FleetServer {
                     target: spec.target,
                     server: ModelServer::start(config.replica.clone()),
                     health: Health::new(config.health.clone()),
-                    costs: RwLock::new(HashMap::new()),
+                    models: RwLock::new(HashMap::new()),
                 })
             })
             .collect();
-        let (tx, rx) = mpsc::sync_channel(config.queue_depth);
-        let router_replicas = replicas.clone();
-        let (max_batch, max_wait) = (config.max_batch, config.max_wait);
-        let batcher = std::thread::Builder::new()
-            .name("mixmatch-fleet-router".into())
-            .spawn(move || router_loop(&rx, &router_replicas, max_batch, max_wait))
-            .expect("spawn fleet router thread");
         FleetServer {
             config,
             replicas,
-            queue: Mutex::new(Some(tx)),
-            batcher: Mutex::new(Some(batcher)),
+            closed: AtomicBool::new(false),
         }
     }
 
@@ -344,51 +317,100 @@ impl FleetServer {
     pub fn load_artifact(&self, name: &str, bytes: &[u8]) -> Result<(), ServeError> {
         for replica in &self.replicas {
             let compiled = import_compiled(bytes)?;
-            let cost = compiled
+            let cost_us = compiled
                 .predict_with(replica.target.as_ref(), 1)
                 .map_or(DEFAULT_COST_US, |s| f64::from(s.latency_ms) * 1_000.0);
             replica.server.load(name, compiled)?;
             replica
-                .costs
+                .models
                 .write()
-                .expect("costs poisoned")
-                .insert(name.to_string(), cost);
+                .expect("routing table poisoned")
+                .insert(
+                    name.to_string(),
+                    Routing {
+                        cost_us,
+                        route: stage_histogram(name, "route"),
+                    },
+                );
         }
         Ok(())
     }
 
-    /// Submits one image against `model` without blocking on the result.
+    /// Places one image against `model` on a replica, on the caller's own
+    /// thread, and returns without blocking on the result. An evicted
+    /// replica whose probe is due takes the request first; otherwise the
+    /// healthy replicas are ranked by [`router::place`] and the request
+    /// fails over down the ranking until one admits it.
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownModel`], [`ServeError::Overloaded`],
-    /// [`ServeError::ShuttingDown`].
-    pub fn infer(&self, model: &str, image: Tensor) -> Result<FleetPending, ServeError> {
-        if !self
-            .replicas
-            .iter()
-            .any(|r| r.server.stats(model).is_some())
-        {
+    /// [`ServeError::UnknownModel`], [`ServeError::ShuttingDown`];
+    /// [`ServeError::Overloaded`] when a replica that could take the
+    /// request refused it for backpressure and none admitted it;
+    /// [`ServeError::NoReplica`] when every replica is evicted or refused
+    /// it for a fault.
+    pub fn infer(&self, model: &str, mut image: Tensor) -> Result<FleetPending, ServeError> {
+        let admitted = Instant::now();
+        if self.closed.load(Ordering::Acquire) {
+            return Err(ServeError::ShuttingDown);
+        }
+        if !self.replicas.iter().any(|r| r.server.serves(model)) {
             return Err(ServeError::UnknownModel {
                 model: model.to_string(),
             });
         }
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let request = FleetRequest {
-            model: model.to_string(),
-            image,
-            admitted: Instant::now(),
-            reply: reply_tx,
-        };
-        let queue = self.queue.lock().expect("fleet queue poisoned");
-        let tx = queue.as_ref().ok_or(ServeError::ShuttingDown)?;
-        match tx.try_send(request) {
-            Ok(()) => Ok(FleetPending { rx: reply_rx }),
-            Err(TrySendError::Full(_)) => Err(ServeError::Overloaded {
-                queue_depth: self.config.queue_depth,
-            }),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
+        // Half-open re-admission: the first evicted replica whose cooldown
+        // elapsed takes this request as its probe. Claiming it moves the
+        // replica out of `Healthy`, so the ranking below skips it.
+        let probe = self.replicas.iter().find(|r| r.health.try_begin_probe());
+        let candidates: Vec<router::Candidate> = self
+            .replicas
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.health.is_healthy())
+            .map(|(index, r)| router::Candidate {
+                replica: index,
+                cost_per_image_us: r.cost_us(model),
+                queue_depth: r.server.queue_len(),
+            })
+            .collect();
+        let ranked = router::place(&candidates, 1)
+            .into_iter()
+            .map(|i| &self.replicas[candidates[i].replica])
+            // Lazily re-checked: a failover of this very request may have
+            // just evicted a replica further down the ranking.
+            .filter(|r| r.health.is_healthy());
+
+        let mut overloaded = None;
+        for replica in probe.into_iter().chain(ranked) {
+            match replica.server.infer_reclaim(model, image) {
+                Ok(pending) => {
+                    replica.record_route(model, admitted.elapsed());
+                    return Ok(FleetPending {
+                        replica: Arc::clone(replica),
+                        pending,
+                    });
+                }
+                // The fleet itself is closing: no replica's fault, and no
+                // other replica will take the request either.
+                Err((ServeError::ShuttingDown, _)) if self.closed.load(Ordering::Acquire) => {
+                    return Err(ServeError::ShuttingDown);
+                }
+                // Backpressure is no fault either; if nobody admits the
+                // request, the caller should back off, not give up.
+                Err((error @ ServeError::Overloaded { .. }, returned)) => {
+                    overloaded = Some(error);
+                    image = returned;
+                }
+                Err((_, returned)) => {
+                    replica.health.record_failure();
+                    image = returned;
+                }
+            }
         }
+        Err(overloaded.unwrap_or_else(|| ServeError::NoReplica {
+            model: model.to_string(),
+        }))
     }
 
     /// [`FleetServer::infer`] + [`FleetPending::wait_timeout`] at the
@@ -410,13 +432,13 @@ impl FleetServer {
                 .iter()
                 .map(|r| {
                     let mut costs: Vec<ModelCost> = r
-                        .costs
+                        .models
                         .read()
-                        .expect("costs poisoned")
+                        .expect("routing table poisoned")
                         .iter()
-                        .map(|(model, &cost_per_image_us)| ModelCost {
+                        .map(|(model, routing)| ModelCost {
                             model: model.clone(),
-                            cost_per_image_us,
+                            cost_per_image_us: routing.cost_us,
                         })
                         .collect();
                     costs.sort_by(|a, b| a.model.cmp(&b.model));
@@ -450,13 +472,12 @@ impl FleetServer {
         }
     }
 
-    /// Stops fleet admission, drains the router and every replica, and
-    /// joins their threads. Idempotent; also runs on drop.
+    /// Stops fleet admission, then drains every replica and joins its
+    /// batcher. Replicas refusing callers because the fleet closed them
+    /// are not counted against their health. Idempotent; also runs on
+    /// drop.
     pub fn shutdown(&self) {
-        drop(self.queue.lock().expect("fleet queue poisoned").take());
-        if let Some(handle) = self.batcher.lock().expect("fleet batcher poisoned").take() {
-            let _ = handle.join();
-        }
+        self.closed.store(true, Ordering::Release);
         for replica in &self.replicas {
             replica.server.shutdown();
         }
@@ -466,131 +487,6 @@ impl FleetServer {
 impl Drop for FleetServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// The fleet router thread: block for one request, coalesce a batch,
-/// place it group-by-group, repeat until shutdown drains the queue.
-fn router_loop(
-    rx: &Receiver<FleetRequest>,
-    replicas: &[Arc<Replica>],
-    max_batch: usize,
-    max_wait: Duration,
-) {
-    while let Ok(first) = rx.recv() {
-        let batch = coalesce(rx, first, max_batch, max_wait);
-        // Group by model, preserving arrival order within each group.
-        let mut groups: Vec<(String, Vec<FleetRequest>)> = Vec::new();
-        for request in batch {
-            match groups.iter_mut().find(|(model, _)| *model == request.model) {
-                Some((_, members)) => members.push(request),
-                None => groups.push((request.model.clone(), vec![request])),
-            }
-        }
-        for (model, members) in groups {
-            place_group(replicas, &model, members);
-        }
-    }
-}
-
-/// Places one coalesced model-group: divert at most one request to a
-/// probe-due replica, rank the healthy replicas once for the whole group,
-/// forward down the ranking with per-request failover.
-fn place_group(replicas: &[Arc<Replica>], model: &str, members: Vec<FleetRequest>) {
-    let mut remaining: VecDeque<FleetRequest> = members.into();
-
-    // Half-open re-admission: one request probes an evicted replica whose
-    // cooldown elapsed. A probe that fails at admission rejoins the
-    // regular path (its failure already re-armed the breaker).
-    for replica in replicas {
-        if remaining.is_empty() {
-            break;
-        }
-        if replica.health.try_begin_probe() {
-            if let Some(request) = remaining.pop_front() {
-                if let Err(request) = forward(replica, request) {
-                    remaining.push_front(request);
-                }
-            }
-            break;
-        }
-    }
-
-    // One placement decision per coalesced batch: snapshot cost × load,
-    // rank, then stream the group to the head of the ranking.
-    let candidates: Vec<router::Candidate> = replicas
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.health.is_healthy())
-        .map(|(index, r)| router::Candidate {
-            replica: index,
-            cost_per_image_us: r.cost_us(model),
-            queue_depth: r.server.queue_len(),
-        })
-        .collect();
-    let order: Vec<usize> = router::place(&candidates, remaining.len())
-        .into_iter()
-        .map(|i| candidates[i].replica)
-        .collect();
-
-    'requests: for mut request in remaining {
-        for &index in &order {
-            let replica = &replicas[index];
-            // A replica evicted mid-group (earlier failover) is skipped.
-            if !replica.health.is_healthy() {
-                continue;
-            }
-            match forward(replica, request) {
-                Ok(()) => continue 'requests,
-                Err(returned) => request = returned,
-            }
-        }
-        let _ = request
-            .reply
-            .send(RoutedReply::Failed(ServeError::NoReplica {
-                model: model.to_string(),
-            }));
-    }
-}
-
-/// Forwards one request to one replica. On admission failure the request
-/// comes back for failover; replica faults (shutdown, missing model) count
-/// against its breaker, plain backpressure ([`ServeError::Overloaded`])
-/// does not.
-fn forward(replica: &Arc<Replica>, request: FleetRequest) -> Result<(), FleetRequest> {
-    let FleetRequest {
-        model,
-        image,
-        admitted,
-        reply,
-    } = request;
-    match replica.server.infer_reclaim(&model, image) {
-        Ok(pending) => {
-            // The request is now on a replica: fleet admission → handoff is
-            // the `route` stage on the shared Prometheus page.
-            mixmatch_obs::Registry::global()
-                .histogram(
-                    crate::metrics::STAGE_METRIC,
-                    &[("model", &model), ("stage", "route")],
-                )
-                .record(admitted.elapsed());
-            let _ = reply.send(RoutedReply::Routed {
-                replica: Arc::clone(replica),
-                pending,
-            });
-            Ok(())
-        }
-        Err((error, image)) => {
-            if !matches!(error, ServeError::Overloaded { .. }) {
-                replica.health.record_failure();
-            }
-            Err(FleetRequest {
-                model,
-                image,
-                admitted,
-                reply,
-            })
-        }
     }
 }
 
@@ -749,6 +645,83 @@ mod tests {
         assert_eq!(stats.replicas[1].health.state, HealthState::Healthy);
         let survivor: u64 = stats.replicas[1].models.iter().map(|m| m.completed).sum();
         assert_eq!(survivor, 6);
+    }
+
+    #[test]
+    fn fleet_wide_backpressure_is_overloaded_not_no_replica() {
+        // One replica, a one-slot queue and a window long enough that its
+        // batcher only ever empties the slot into an open batch or a run.
+        let fleet = FleetServer::start(
+            FleetConfig::default().with_replica_config(
+                ServeConfig::default()
+                    .with_queue_depth(1)
+                    .with_max_wait(Duration::from_secs(30))
+                    .with_threads(1),
+            ),
+            vec![ReplicaSpec::new(
+                "r0",
+                FixedLatency {
+                    label: "fast",
+                    latency_ms: 0.1,
+                },
+            )],
+        );
+        fleet
+            .load_artifact("mlp", &mlp_artifact(7))
+            .expect("roll artifact");
+        let mut admitted = Vec::new();
+        let mut overloaded = 0;
+        // The slot refills faster than the batcher drains it, so this
+        // overloads within a handful of submissions; the bound only keeps
+        // a broken build from spinning forever.
+        for _ in 0..10_000 {
+            match fleet.infer("mlp", Tensor::zeros(&[6])) {
+                Ok(pending) => admitted.push(pending),
+                Err(ServeError::Overloaded { queue_depth }) => {
+                    assert_eq!(queue_depth, 1);
+                    overloaded += 1;
+                    if overloaded == 3 {
+                        break;
+                    }
+                }
+                Err(other) => panic!("backpressure misreported as {other:?}"),
+            }
+        }
+        assert_eq!(overloaded, 3, "a one-slot replica never refused");
+        let health = &fleet.stats().replicas[0].health;
+        assert_eq!(health.state, HealthState::Healthy);
+        assert_eq!(health.consecutive_failures, 0, "backpressure is no fault");
+        // Shutdown closes the held batch; every admitted request answers.
+        fleet.shutdown();
+        for pending in admitted {
+            assert_eq!(pending.wait().expect("admitted request").dims(), &[3]);
+        }
+    }
+
+    #[test]
+    fn the_fleet_adds_no_window_of_its_own() {
+        let window = Duration::from_millis(200);
+        let fleet = two_replica_fleet(
+            FleetConfig::default()
+                .with_replica_config(ServeConfig::default().with_max_wait(window).with_threads(1))
+                // The fleet-level setter is shorthand for the same replica
+                // window: a lone request waits through it exactly once.
+                .with_max_wait(window),
+        );
+        fleet
+            .load_artifact("mlp", &mlp_artifact(8))
+            .expect("roll artifact");
+        let start = Instant::now();
+        let out = fleet
+            .infer_blocking("mlp", Tensor::zeros(&[6]))
+            .expect("infer");
+        let waited = start.elapsed();
+        assert_eq!(out.dims(), &[3]);
+        assert!(waited >= window, "the replica window was not applied");
+        assert!(
+            waited < Duration::from_millis(350),
+            "a lone request waited {waited:?}: more than one window"
+        );
     }
 
     #[test]

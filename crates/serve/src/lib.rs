@@ -26,7 +26,7 @@
 //! On top of the single server sits the **fleet layer** ([`fleet`]): N
 //! replicas, each a full [`ModelServer`] bound to its own simulated FPGA
 //! [`HardwareTarget`](mixmatch_quant::pipeline::HardwareTarget), behind a
-//! router that places every coalesced batch by predicted device cost ×
+//! router that places each request on arrival by predicted device cost ×
 //! live queue depth ([`router`]), evicts failing replicas through a
 //! per-replica circuit breaker ([`health`]), and speaks a hand-rolled
 //! length-prefixed TCP protocol ([`wire`]) so callers on real sockets get

@@ -28,6 +28,14 @@ pub use mixmatch_obs::LatencyHistogram;
 /// Metric name under which per-stage request latencies are registered.
 pub const STAGE_METRIC: &str = "mixmatch_request_stage_seconds";
 
+/// The global [`Registry`] histogram for one lifecycle `stage` of
+/// `model`'s requests (`mixmatch_request_stage_seconds{model,stage}`).
+/// Resolving it formats labels and takes the registry lock, so callers
+/// resolve it once per model and keep the `Arc`.
+pub(crate) fn stage_histogram(model: &str, stage: &str) -> Arc<LatencyHistogram> {
+    Registry::global().histogram(STAGE_METRIC, &[("model", model), ("stage", stage)])
+}
+
 /// Live counters for one registered model. Swapping the model artifact
 /// keeps its counters (they describe the serving *name*, not one weight
 /// set).
@@ -44,8 +52,8 @@ pub struct ModelMetrics {
     /// Images across all dispatched batches (`/ batches` = mean batch).
     pub batched_images: AtomicU64,
     /// Live gauge: requests admitted but not yet answered. The fleet
-    /// router reads this (via [`ModelStats::queue_depth`]) to place batches
-    /// on the least-loaded replica.
+    /// router reads this (summed by `ModelServer::queue_len`) to place
+    /// each request on the least-loaded replica.
     pub in_flight: AtomicU64,
     /// Queue-to-reply latency of completed requests (stage `total`).
     pub latency: Arc<LatencyHistogram>,
@@ -82,14 +90,11 @@ impl ModelMetrics {
     /// [`Registry`] under `mixmatch_request_stage_seconds{model,stage}`,
     /// so recordings show up on the `METRICS` wire page.
     pub fn for_model(model: &str) -> Self {
-        let reg = Registry::global();
-        let stage =
-            |stage: &str| reg.histogram(STAGE_METRIC, &[("model", model), ("stage", stage)]);
         ModelMetrics {
-            latency: stage("total"),
-            queue_wait: stage("queue"),
-            coalesce: stage("coalesce"),
-            execute: stage("execute"),
+            latency: stage_histogram(model, "total"),
+            queue_wait: stage_histogram(model, "queue"),
+            coalesce: stage_histogram(model, "coalesce"),
+            execute: stage_histogram(model, "execute"),
             ..ModelMetrics::default()
         }
     }

@@ -1,9 +1,9 @@
-//! Batch placement over a heterogeneous fleet: predicted per-device cost ×
-//! live queue depth.
+//! Request placement over a heterogeneous fleet: predicted per-device cost
+//! × live queue depth.
 //!
-//! The fleet router prices an incoming coalesced batch on every healthy
-//! replica as *estimated completion time*: the work already queued there
-//! plus the incoming batch, at the device's predicted per-image latency
+//! The fleet prices each incoming request (a batch of one image) on every
+//! healthy replica as *estimated completion time*: the work already queued
+//! there plus the incoming work, at the device's predicted per-image latency
 //! (the cycle simulator's `summarize_plan` figure for the replica's
 //! `HardwareTarget`). A fast device with a deep backlog loses to an idle
 //! slow one exactly when the arithmetic says it should. The policy is a

@@ -318,6 +318,15 @@ impl ModelServer {
             .is_some()
     }
 
+    /// Whether a model is registered under `name` — a registry lookup,
+    /// no counter snapshot.
+    pub(crate) fn serves(&self, name: &str) -> bool {
+        self.registry
+            .lock()
+            .expect("registry poisoned")
+            .contains_key(name)
+    }
+
     /// Registered model names (unordered).
     pub fn models(&self) -> Vec<String> {
         self.registry

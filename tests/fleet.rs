@@ -15,7 +15,7 @@ use mixmatch::prelude::*;
 use mixmatch::quant::engine::BatchEngine;
 use mixmatch::quant::export::{export_compiled, import_compiled};
 use mixmatch::serve::health::HealthState;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// A small quantized MLP (`[12] → [10]`) exported to an `MMCM` artifact.
@@ -100,9 +100,11 @@ fn tcp_responses_are_bit_identical_to_run_plan_across_fleet_sizes() {
     ];
     for devices in mixes {
         let (fleet, wire) = start_wired_fleet(
-            FleetConfig::default()
-                .with_max_wait(Duration::from_micros(500))
-                .with_replica_config(ServeConfig::default().with_threads(1)),
+            FleetConfig::default().with_replica_config(
+                ServeConfig::default()
+                    .with_max_wait(Duration::from_micros(500))
+                    .with_threads(1),
+            ),
             devices,
         );
         let addr = wire.local_addr();
@@ -165,13 +167,16 @@ fn killed_replica_mid_load_is_shed_with_zero_corrupted_responses() {
 
     let (fleet, wire) = start_wired_fleet(
         FleetConfig::default()
-            .with_max_wait(Duration::from_micros(500))
             .with_health(
                 HealthPolicy::default()
                     .with_evict_after(2)
                     .with_probe_after(Duration::from_secs(120)),
             )
-            .with_replica_config(ServeConfig::default().with_threads(1)),
+            .with_replica_config(
+                ServeConfig::default()
+                    .with_max_wait(Duration::from_micros(500))
+                    .with_threads(1),
+            ),
         &[FpgaDevice::XC7Z045, FpgaDevice::XC7Z020],
     );
     let addr = wire.local_addr();
@@ -219,9 +224,11 @@ fn fleet_wide_hot_swap_drops_nothing_and_every_reply_matches_a_version() {
     assert_ne!(refs1[0], refs2[0], "fixture versions must differ");
 
     let (fleet, wire) = start_wired_fleet(
-        FleetConfig::default()
-            .with_max_wait(Duration::from_micros(500))
-            .with_replica_config(ServeConfig::default().with_threads(1)),
+        FleetConfig::default().with_replica_config(
+            ServeConfig::default()
+                .with_max_wait(Duration::from_micros(500))
+                .with_threads(1),
+        ),
         &[FpgaDevice::XC7Z045, FpgaDevice::XCZU3CG],
     );
     let addr = wire.local_addr();
@@ -250,6 +257,91 @@ fn fleet_wide_hot_swap_drops_nothing_and_every_reply_matches_a_version() {
     }
     wire.stop();
     fleet.shutdown();
+}
+
+#[test]
+fn shutdown_racing_inline_placement_is_typed_and_evicts_no_replica() {
+    let artifact = mlp_artifact(30);
+    const THREADS: usize = 4;
+    // Requests each caller places before shutdown is released.
+    const WARM: usize = 5;
+    const ROUNDS: usize = 5;
+    let images = unique_images(THREADS, &[12], 31);
+    let refs = references(&artifact, &images);
+
+    // The race is narrow (a caller between its closed check and the
+    // replica's queue), so it runs several times.
+    for round in 0..ROUNDS {
+        let fleet = FleetServer::start(
+            FleetConfig::default()
+                // One misattributed failure evicts for the rest of the
+                // round (later successes do not revive an evicted replica).
+                .with_health(
+                    HealthPolicy::default()
+                        .with_evict_after(1)
+                        .with_probe_after(Duration::from_secs(120)),
+                )
+                .with_replica_config(
+                    ServeConfig::default()
+                        .with_max_wait(Duration::from_micros(500))
+                        // Deep enough that backpressure never answers instead.
+                        .with_queue_depth(1 << 20)
+                        .with_threads(1),
+                ),
+            specs(&[FpgaDevice::XC7Z045, FpgaDevice::XC7Z020]),
+        );
+        fleet
+            .load_artifact("mlp", &artifact)
+            .expect("roll artifact");
+
+        // Every caller places requests back to back on its own thread, so
+        // most of its time is spent inside placement, while the main thread
+        // shuts the fleet down; the barrier releases the shutdown only once
+        // all callers are mid-stream.
+        let warmed = Barrier::new(THREADS + 1);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (fleet, images, refs, warmed) = (&fleet, &images, &refs, &warmed);
+                scope.spawn(move || {
+                    let mut admitted = Vec::new();
+                    for i in 0.. {
+                        if i == WARM {
+                            warmed.wait();
+                        }
+                        match fleet.infer("mlp", images[t].clone()) {
+                            Ok(pending) => admitted.push(pending),
+                            Err(ServeError::ShuttingDown) => break,
+                            Err(other) => {
+                                panic!("caller {t} request {i}: untyped shutdown {other:?}")
+                            }
+                        }
+                    }
+                    for (i, pending) in admitted.into_iter().enumerate() {
+                        match pending.wait() {
+                            Ok(out) => assert_eq!(
+                                out.as_slice(),
+                                &refs[t][..],
+                                "caller {t} request {i} corrupted"
+                            ),
+                            Err(ServeError::Dropped) => {}
+                            Err(other) => panic!("caller {t} request {i}: {other:?}"),
+                        }
+                    }
+                });
+            }
+            warmed.wait();
+            fleet.shutdown();
+        });
+
+        for replica in fleet.stats().replicas {
+            assert_eq!(
+                (replica.health.state, replica.health.evictions),
+                (HealthState::Healthy, 0),
+                "round {round}: replica {} blamed for the fleet's own shutdown",
+                replica.label
+            );
+        }
+    }
 }
 
 #[test]
