@@ -4,9 +4,10 @@
 //!
 //! Requests arrive with exponential inter-arrival times (a Poisson
 //! process) at several offered rates, each a fraction of the engine's
-//! measured closed-loop capacity. The server coalesces them dynamically
-//! (`max_batch` / `max_wait`) and the run reports achieved throughput,
-//! admission rejections and queue-to-reply latency percentiles per rate.
+//! measured closed-loop capacity. The server batches whatever has queued
+//! when its batcher frees up (up to `max_batch`, never waiting for more)
+//! and the run reports achieved throughput, admission rejections and
+//! queue-to-reply latency percentiles per rate.
 //!
 //! A second sweep replays the same traffic shape against a [`FleetServer`]
 //! of 1, 2 and 4 heterogeneous replicas **over real TCP sockets** (one
@@ -77,7 +78,6 @@ fn main() {
 
     let config = ServeConfig::default()
         .with_max_batch(32)
-        .with_max_wait(Duration::from_millis(2))
         .with_queue_depth(256);
     let mut rows = String::new();
     for &fraction in &[0.25f64, 0.5, 0.8] {
@@ -125,7 +125,8 @@ fn main() {
             stats.p999.as_secs_f64() * 1e3,
         );
         // Where the latency went: queue wait until batch execution starts,
-        // the batcher's coalesce window, and the engine itself.
+        // the batcher's drain of the queue (`coalesce`, ≈0), and the engine
+        // itself.
         let mut stage_rows = String::new();
         let mut stage_line = String::new();
         for stage in &stats.stages {
@@ -192,7 +193,6 @@ fn main() {
         let fleet = Arc::new(FleetServer::start(
             FleetConfig::default()
                 .with_max_batch(32)
-                .with_max_wait(Duration::from_millis(2))
                 .with_replica_config(config.clone()),
             specs,
         ));
@@ -296,7 +296,7 @@ fn main() {
   "input_hw": {input_hw},
   "smoke": {smoke},
   "host": {{"os": "{}", "arch": "{}", "parallelism": {}}},
-  "server": {{"max_batch": 32, "max_wait_ms": 2, "queue_depth": 256}},
+  "server": {{"max_batch": 32, "queue_depth": 256}},
   "closed_loop_capacity_images_per_sec": {capacity_ips:.1},
   "rates": [
 {rows}

@@ -8,17 +8,18 @@
 //!    │                           replica 0        replica 1   …     replica N-1
 //!    │                          (ModelServer     (ModelServer       (evicted —
 //!    │                           on 7Z045)        on ZU5CG)          skipped)
-//!    └──── FleetPending::wait ◀─ per-replica dynamic batcher + engine
+//!    └──── FleetPending::wait ◀─ per-replica work-conserving batcher + engine
 //! ```
 //!
 //! Each replica is a full [`ModelServer`] bound to its own
 //! [`HardwareTarget`] (a device from the `FpgaDevice` catalog, typically):
 //! the target prices the served plan through the cycle simulator once per
-//! load. The fleet has no queue, thread or batching window of its own:
+//! load. The fleet has no queue, thread or batching stage of its own:
 //! [`FleetServer::infer`] places each request as it arrives, on the
 //! replica with the lowest estimated completion time — predicted
 //! per-image device latency times (live queue depth + 1) — and batching
-//! happens once, in that replica's [`ModelServer`]. Replica failures trip a
+//! happens once, in that replica's [`ModelServer`], which holds no batch
+//! open: a request is batched only with what already queued there. Replica failures trip a
 //! per-replica circuit breaker ([`crate::health`]): consecutive failures
 //! evict, a timed half-open probe re-admits. Loading an artifact rolls it
 //! across the fleet replica by replica; in-flight requests finish on the
@@ -63,9 +64,8 @@ impl ReplicaSpec {
 }
 
 /// Fleet-level knobs. The fleet batches nothing itself: every batching
-/// knob (engine batch size, coalesce window, queue depth, worker threads)
-/// belongs to each replica's [`ModelServer`] and rides in
-/// [`FleetConfig::replica`].
+/// knob (engine batch size, queue depth, worker threads) belongs to each
+/// replica's [`ModelServer`] and rides in [`FleetConfig::replica`].
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Knobs for each replica's own [`ModelServer`].
@@ -96,12 +96,10 @@ impl FleetConfig {
         self
     }
 
-    /// Shorthand for [`ServeConfig::with_max_wait`] on
-    /// [`FleetConfig::replica`]: each replica's coalesce window, the only
-    /// one a fleet request waits through. A later
-    /// [`FleetConfig::with_replica_config`] replaces it.
-    pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
-        self.replica = self.replica.with_max_wait(max_wait);
+    /// Does nothing: a fleet request waits through no coalesce window, the
+    /// fleet's or its replica's. Kept so existing callers compile.
+    #[deprecated(note = "the coalesce window is gone: replicas run whatever is queued at once")]
+    pub fn with_max_wait(self, _max_wait: Duration) -> Self {
         self
     }
 
@@ -495,6 +493,7 @@ mod tests {
     use super::*;
     use crate::health::HealthState;
     use mixmatch_nn::quantize::QuantLayerDesc;
+    use mixmatch_quant::engine::BatchEngine;
     use mixmatch_quant::export::export_compiled;
     use mixmatch_quant::graph::ExecutionPlan;
     use mixmatch_quant::msq::MsqPolicy;
@@ -649,13 +648,14 @@ mod tests {
 
     #[test]
     fn fleet_wide_backpressure_is_overloaded_not_no_replica() {
-        // One replica, a one-slot queue and a window long enough that its
-        // batcher only ever empties the slot into an open batch or a run.
+        // One replica with a one-slot queue and batches of one, parked by
+        // the seam: it holds at most one request in its batch and one in
+        // its slot, so the third submission at the latest is refused.
         let fleet = FleetServer::start(
             FleetConfig::default().with_replica_config(
                 ServeConfig::default()
                     .with_queue_depth(1)
-                    .with_max_wait(Duration::from_secs(30))
+                    .with_max_batch(1)
                     .with_threads(1),
             ),
             vec![ReplicaSpec::new(
@@ -669,29 +669,24 @@ mod tests {
         fleet
             .load_artifact("mlp", &mlp_artifact(7))
             .expect("roll artifact");
-        let mut admitted = Vec::new();
-        let mut overloaded = 0;
-        // The slot refills faster than the batcher drains it, so this
-        // overloads within a handful of submissions; the bound only keeps
-        // a broken build from spinning forever.
-        for _ in 0..10_000 {
-            match fleet.infer("mlp", Tensor::zeros(&[6])) {
-                Ok(pending) => admitted.push(pending),
-                Err(ServeError::Overloaded { queue_depth }) => {
-                    assert_eq!(queue_depth, 1);
-                    overloaded += 1;
-                    if overloaded == 3 {
-                        break;
+        let admitted = fleet.replicas[0].server.with_batches_parked("mlp", || {
+            let mut admitted = Vec::new();
+            for _ in 0..3 {
+                match fleet.infer("mlp", Tensor::zeros(&[6])) {
+                    Ok(pending) => admitted.push(pending),
+                    Err(ServeError::Overloaded { queue_depth }) => {
+                        assert_eq!(queue_depth, 1);
+                        return admitted;
                     }
+                    Err(other) => panic!("backpressure misreported as {other:?}"),
                 }
-                Err(other) => panic!("backpressure misreported as {other:?}"),
             }
-        }
-        assert_eq!(overloaded, 3, "a one-slot replica never refused");
+            panic!("a parked one-slot replica admitted 3 requests");
+        });
         let health = &fleet.stats().replicas[0].health;
         assert_eq!(health.state, HealthState::Healthy);
         assert_eq!(health.consecutive_failures, 0, "backpressure is no fault");
-        // Shutdown closes the held batch; every admitted request answers.
+        // Released, the replica answers every admitted request.
         fleet.shutdown();
         for pending in admitted {
             assert_eq!(pending.wait().expect("admitted request").dims(), &[3]);
@@ -699,28 +694,37 @@ mod tests {
     }
 
     #[test]
-    fn the_fleet_adds_no_window_of_its_own() {
-        let window = Duration::from_millis(200);
-        let fleet = two_replica_fleet(
-            FleetConfig::default()
-                .with_replica_config(ServeConfig::default().with_max_wait(window).with_threads(1))
-                // The fleet-level setter is shorthand for the same replica
-                // window: a lone request waits through it exactly once.
-                .with_max_wait(window),
-        );
+    fn a_lone_fleet_request_is_not_held() {
+        // Windows this long would fail the bound below if either applied.
+        #[allow(deprecated)]
+        let config = FleetConfig::default()
+            .with_replica_config(
+                ServeConfig::default()
+                    .with_max_wait(Duration::from_secs(5))
+                    .with_threads(1),
+            )
+            .with_max_wait(Duration::from_secs(5));
+        let fleet = two_replica_fleet(config);
+        let artifact = mlp_artifact(8);
         fleet
-            .load_artifact("mlp", &mlp_artifact(8))
+            .load_artifact("mlp", &artifact)
             .expect("roll artifact");
+        let image = Tensor::rand_uniform(&[6], 0.0, 1.0, &mut TensorRng::seed_from(9));
+        let expected = BatchEngine::with_threads(1)
+            .run_plan_batch(
+                &import_compiled(&artifact).expect("import"),
+                std::slice::from_ref(&image),
+            )
+            .expect("reference run")
+            .outputs
+            .remove(0);
         let start = Instant::now();
-        let out = fleet
-            .infer_blocking("mlp", Tensor::zeros(&[6]))
-            .expect("infer");
+        let out = fleet.infer_blocking("mlp", image).expect("infer");
         let waited = start.elapsed();
-        assert_eq!(out.dims(), &[3]);
-        assert!(waited >= window, "the replica window was not applied");
+        assert_eq!(out.as_slice(), expected.as_slice());
         assert!(
-            waited < Duration::from_millis(350),
-            "a lone request waited {waited:?}: more than one window"
+            waited < Duration::from_secs(1),
+            "a lone request was held {waited:?}"
         );
     }
 

@@ -1,22 +1,26 @@
 //! # mixmatch-serve
 //!
-//! Async model server with **dynamic request batching** over compiled
-//! execution plans — the serving layer that turns independent single-image
-//! requests into the large batches where `BatchEngine`'s throughput lives.
+//! Async model server with **work-conserving request batching** over
+//! compiled execution plans — the serving layer that turns independent
+//! single-image requests into engine batches without holding any of them.
 //!
-//! The paper's accelerator (and its software twin, the
-//! [`BatchEngine`](mixmatch_quant::engine::BatchEngine)) is a deep GEMM
-//! pipeline: per-call setup amortises across a batch, so batch-32 far
-//! outruns batch-1 (`BENCH_throughput.json`). Real traffic arrives one
-//! image at a time, though. [`ModelServer`] closes that gap:
+//! The paper's FPGA pipeline amortises setup across a batch; its software
+//! twin, the [`BatchEngine`](mixmatch_quant::engine::BatchEngine), does
+//! not: it splits a batch across the worker pool's threads and runs each
+//! image through the whole plan on its own, so a batch buys parallelism
+//! across threads, not cheaper images. Waiting to fill a batch therefore
+//! only adds latency, and [`ModelServer`] batches only what has already
+//! queued. It provides:
 //!
 //! * a **registry** of named [`CompiledModel`]s, loadable from serialized
 //!   `MMCM` artifacts and hot-swappable behind an `Arc` swap,
 //! * a **bounded admission queue** — a full queue rejects with
 //!   [`ServeError::Overloaded`] instead of growing an unbounded backlog,
-//! * a **dynamic batcher** that coalesces queued requests up to
-//!   `max_batch` or a `max_wait` deadline (whichever first) and drives
-//!   `BatchEngine::run_plan_batch` on the shared process-wide worker pool,
+//! * a **work-conserving batcher** that blocks for one request, drains
+//!   whatever is already queued behind it (up to `max_batch`) without
+//!   waiting for more, and drives `BatchEngine::run_plan_batch` on the
+//!   shared process-wide worker pool — requests that arrive while a batch
+//!   runs form the next one,
 //! * per-request **reply channels + ids**, so a response can never reach a
 //!   neighboring caller, and
 //! * per-model **latency/throughput counters** (p50/p95/p99/p99.9 from a
@@ -43,7 +47,6 @@
 //! use mixmatch_nn::layers::Linear;
 //! use mixmatch_nn::module::Sequential;
 //! use mixmatch_tensor::{Tensor, TensorRng};
-//! use std::time::Duration;
 //!
 //! // Quantize a model (any pipeline output with a compiled plan works).
 //! let mut rng = TensorRng::seed_from(0);
@@ -55,11 +58,7 @@
 //!     .expect("quantize");
 //!
 //! // Serve it: submit asynchronously, join the handle for the logits.
-//! let server = ModelServer::start(
-//!     ServeConfig::default()
-//!         .with_max_batch(8)
-//!         .with_max_wait(Duration::from_millis(1)),
-//! );
+//! let server = ModelServer::start(ServeConfig::default().with_max_batch(8));
 //! server.load("mlp", compiled).expect("load");
 //! let pending = server.infer("mlp", Tensor::zeros(&[8])).expect("admit");
 //! let logits = pending.wait().expect("inference");
@@ -69,7 +68,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batcher;
 pub mod error;
 pub mod fleet;
 pub mod health;

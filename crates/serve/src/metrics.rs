@@ -10,8 +10,10 @@
 //!
 //! Besides the end-to-end latency, each model tracks per-stage
 //! histograms for the request lifecycle — `queue` (admission → batch
-//! execution start), `coalesce` (time the batcher waited to fill the
-//! batch), and `execute` (engine wall time) — which are also registered
+//! execution start), `coalesce` (the batcher's drain of already-queued
+//! requests into the batch — it never waits for more, so this is ≈0; the
+//! name is kept so dashboards stay stable), and `execute` (engine wall
+//! time) — which are also registered
 //! in [`Registry::global`] under `mixmatch_request_stage_seconds` so the
 //! `METRICS` wire verb exposes them as Prometheus text.
 //!
@@ -59,7 +61,8 @@ pub struct ModelMetrics {
     pub latency: Arc<LatencyHistogram>,
     /// Admission → batch-execution-start wait per request.
     pub queue_wait: Arc<LatencyHistogram>,
-    /// Batcher coalesce window attributed to each request's batch.
+    /// The batcher's drain time for each request's batch (≈0: the batcher
+    /// never waits for more requests).
     pub coalesce: Arc<LatencyHistogram>,
     /// Engine wall time of each request's batch.
     pub execute: Arc<LatencyHistogram>,

@@ -2,23 +2,23 @@
 //!
 //! ```text
 //! callers ── infer(name, image) ──▶ bounded queue ──▶ batcher thread
-//!    ▲                              (admission:        │ coalesce ≤ max_batch
-//!    │                               Overloaded        │ or max_wait
-//!    └── Pending::wait ◀── reply ◀── when full)        ▼
+//!    ▲                              (admission:        │ block for one, drain
+//!    │                               Overloaded        │ what is queued
+//!    └── Pending::wait ◀── reply ◀── when full)        ▼ (≤ max_batch)
 //!                                              BatchEngine::run_plan_batch
 //!                                              (WorkerPool::global())
 //! ```
 //!
-//! One batcher thread owns the queue: it blocks for the first request,
-//! coalesces follow-ups into a batch (per [`crate::batcher::coalesce`]),
-//! groups the batch by model, and drives each group through
-//! `BatchEngine::run_plan_batch` — so independent single-image requests
-//! ride the engine's batched throughput. Every request carries its own
-//! reply channel plus a server-unique id, so responses can never cross
-//! callers; correctness is pinned by `tests/serving.rs` (bit-identical to
+//! One batcher thread owns the queue and is work-conserving: it blocks for
+//! the first request, drains whatever is already queued (up to
+//! `max_batch`) without waiting for more, groups the batch by model, and
+//! drives each group through `BatchEngine::run_plan_batch`. Requests that
+//! arrive while a batch runs form the next one, so batches grow with load
+//! and a lone request is never held. Every request carries its own reply
+//! channel plus a server-unique id, so responses can never cross callers;
+//! correctness is pinned by `tests/serving.rs` (bit-identical to
 //! `run_plan` on the caller's own input, under concurrent load).
 
-use crate::batcher::coalesce;
 use crate::error::ServeError;
 use crate::metrics::{ModelMetrics, ModelStats};
 use mixmatch_quant::engine::BatchEngine;
@@ -40,15 +40,13 @@ const _: fn() = || {
     assert_shareable::<CompiledModel>();
 };
 
-/// Serving knobs. The defaults target the engine's sweet spot (batch 32)
-/// with a small coalescing window; tune `max_wait` against the latency
-/// budget and `queue_depth` against the acceptable overload backlog.
+/// Serving knobs. The batcher never waits to fill a batch, so there is no
+/// latency knob: `max_batch` caps how much of a backlog one engine call
+/// takes, and `queue_depth` bounds the acceptable overload backlog.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Largest batch handed to the engine (≥ 1).
     pub max_batch: usize,
-    /// Longest a batch is held open waiting for more requests.
-    pub max_wait: Duration,
     /// Bounded admission-queue depth; a full queue rejects with
     /// [`ServeError::Overloaded`] instead of growing the backlog.
     pub queue_depth: usize,
@@ -62,7 +60,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 32,
-            max_wait: Duration::from_millis(2),
             queue_depth: 256,
             threads: None,
         }
@@ -76,9 +73,11 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the batch-coalescing deadline.
-    pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
-        self.max_wait = max_wait;
+    /// Does nothing: the batcher no longer holds a batch open waiting for
+    /// more requests, so there is no coalesce window to set. Kept so
+    /// existing callers compile.
+    #[deprecated(note = "the coalesce window is gone: the batcher runs whatever is queued at once")]
+    pub fn with_max_wait(self, _max_wait: Duration) -> Self {
         self
     }
 
@@ -206,7 +205,8 @@ impl Pending {
 }
 
 /// Asynchronous model server: a registry of named [`CompiledModel`]s
-/// served through a dynamic batcher. See the module docs for the dataflow.
+/// served through a work-conserving batcher. See the module docs for the
+/// dataflow.
 pub struct ModelServer {
     config: ServeConfig,
     registry: Mutex<HashMap<String, Arc<ModelEntry>>>,
@@ -229,10 +229,10 @@ impl ModelServer {
             Some(threads) => BatchEngine::with_threads(threads),
             None => BatchEngine::new(),
         };
-        let (max_batch, max_wait) = (config.max_batch, config.max_wait);
+        let max_batch = config.max_batch;
         let batcher = std::thread::Builder::new()
             .name("mixmatch-serve-batcher".into())
-            .spawn(move || batcher_loop(&rx, &engine, max_batch, max_wait))
+            .spawn(move || batcher_loop(&rx, &engine, max_batch))
             .expect("spawn batcher thread");
         ModelServer {
             config,
@@ -459,6 +459,25 @@ impl ModelServer {
             .collect()
     }
 
+    /// Test seam: runs `f` while holding `model`'s weights write-locked, so
+    /// the batcher parks at its next batch boundary for that model (the
+    /// `entry.compiled.read()` in `execute_batch`). Requests admitted
+    /// meanwhile stay queued; the batch boundary resumes when `f` returns.
+    /// Never call [`ModelServer::shutdown`] inside `f`: it joins the parked
+    /// batcher.
+    #[cfg(test)]
+    pub(crate) fn with_batches_parked<R>(&self, model: &str, f: impl FnOnce() -> R) -> R {
+        let entry = self
+            .registry
+            .lock()
+            .expect("registry poisoned")
+            .get(model)
+            .cloned()
+            .expect("model registered");
+        let _held = entry.compiled.write().expect("entry poisoned");
+        f()
+    }
+
     /// Stops admission, drains every already-admitted request, and joins
     /// the batcher. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
@@ -477,25 +496,30 @@ impl Drop for ModelServer {
     }
 }
 
-/// The batcher thread: block for one request, coalesce a batch, execute,
-/// repeat until the queue disconnects (shutdown) and is fully drained.
-fn batcher_loop(
-    rx: &Receiver<Request>,
-    engine: &BatchEngine,
-    max_batch: usize,
-    max_wait: Duration,
-) {
+/// The batcher thread: block for one request, drain what is already
+/// queued behind it, execute, repeat until the queue disconnects
+/// (shutdown) and is fully drained.
+fn batcher_loop(rx: &Receiver<Request>, engine: &BatchEngine, max_batch: usize) {
     while let Ok(first) = rx.recv() {
         let opened = Instant::now();
-        let batch = coalesce(rx, first, max_batch, max_wait);
-        // The coalesce window is a property of the whole batch: every
-        // member waited (part of) it, so it is attributed to each request.
-        let batch_wait = opened.elapsed();
-        execute_batch(engine, batch, batch_wait);
+        let batch = drain_queued(rx, first, max_batch);
+        // The `coalesce` stage times this drain (≈0: nothing waits for
+        // more requests) and attributes it to every member of the batch.
+        execute_batch(engine, batch, opened.elapsed());
     }
 }
 
-/// Executes one coalesced batch: group by model entry (arrival order
+/// The batch that starts with `first`: it takes whatever is already
+/// queued, up to `max_batch` items in all, and never waits for more.
+/// Items that arrive while the batch runs form the next one. A
+/// disconnected channel yields what was buffered before it closed.
+fn drain_queued<T>(rx: &Receiver<T>, first: T, max_batch: usize) -> Vec<T> {
+    std::iter::once(first)
+        .chain(rx.try_iter().take(max_batch.saturating_sub(1)))
+        .collect()
+}
+
+/// Executes one drained batch: group by model entry (arrival order
 /// preserved within a group), pre-validate each image against the plan so
 /// one malformed request answers alone instead of poisoning its neighbors,
 /// then run each group through the engine and route every output back by
@@ -558,7 +582,7 @@ fn execute_batch(engine: &BatchEngine, batch: Vec<Request>, batch_wait: Duration
             .batched_images
             .fetch_add(images.len() as u64, Ordering::Relaxed);
         // Lifecycle stages: how long each member sat admitted before its
-        // batch started, the coalesce window, and the engine wall time.
+        // batch started, the batch's drain time, and the engine wall time.
         let exec_start = Instant::now();
         for meta in &metas {
             entry
@@ -696,28 +720,127 @@ mod tests {
 
     #[test]
     fn wait_timeout_fails_typed_while_the_batch_is_held_open() {
-        // A long coalescing window with max_batch > 1 parks the request in
-        // the batcher: the caller's timeout must fire first, typed.
-        let server = ModelServer::start(
-            ServeConfig::default()
-                .with_max_batch(32)
-                .with_max_wait(Duration::from_secs(30))
-                .with_threads(1),
-        );
+        // The seam parks the batcher on the request's batch: the caller's
+        // timeout must fire first, typed.
+        let server = ModelServer::start(ServeConfig::default().with_threads(1));
         server.load("mlp", mlp_model(8)).expect("load");
         let mut rng = TensorRng::seed_from(9);
         let image = Tensor::rand_uniform(&[6], 0.0, 1.0, &mut rng);
-        let pending = server.infer("mlp", image).expect("admit");
-        assert_eq!(server.queue_len(), 1, "admitted request raises the gauge");
-        assert_eq!(server.stats("mlp").expect("stats").queue_depth, 1);
-        let err = pending
-            .wait_timeout(Duration::from_millis(20))
-            .expect_err("deadline fires first");
-        assert!(matches!(err, ServeError::Timeout { .. }));
-        // Shutdown drains the held batch; the late reply is discarded and
+        server.with_batches_parked("mlp", || {
+            let pending = server.infer("mlp", image).expect("admit");
+            assert_eq!(server.queue_len(), 1, "admitted request raises the gauge");
+            assert_eq!(server.stats("mlp").expect("stats").queue_depth, 1);
+            let err = pending
+                .wait_timeout(Duration::from_millis(20))
+                .expect_err("deadline fires first");
+            assert!(matches!(err, ServeError::Timeout { .. }));
+        });
+        // Released, the parked batch runs; the late reply is discarded and
         // the gauge settles back to zero.
         server.shutdown();
         assert_eq!(server.queue_len(), 0);
+    }
+
+    /// Single-image `run_plan` results on a one-thread engine: the bit-exact
+    /// reference for served replies.
+    fn references(compiled: &CompiledModel, images: &[Tensor]) -> Vec<Tensor> {
+        let engine = BatchEngine::with_threads(1);
+        images
+            .iter()
+            .map(|image| {
+                engine
+                    .run_plan_batch(compiled, std::slice::from_ref(image))
+                    .expect("reference run")
+                    .outputs
+                    .remove(0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_lone_request_is_not_held() {
+        // A window this long would fail the bound below if it still applied.
+        #[allow(deprecated)]
+        let config = ServeConfig::default()
+            .with_max_wait(Duration::from_secs(5))
+            .with_threads(1);
+        let server = ModelServer::start(config);
+        let compiled = mlp_model(11);
+        let mut rng = TensorRng::seed_from(12);
+        let image = Tensor::rand_uniform(&[6], 0.0, 1.0, &mut rng);
+        let expected = references(&compiled, std::slice::from_ref(&image)).remove(0);
+        server.load("mlp", compiled).expect("load");
+        let start = Instant::now();
+        let out = server.infer_blocking("mlp", image).expect("infer");
+        let waited = start.elapsed();
+        assert_eq!(out.as_slice(), expected.as_slice());
+        assert!(
+            waited < Duration::from_secs(1),
+            "a lone request was held {waited:?}"
+        );
+    }
+
+    #[test]
+    fn a_backlog_still_batches_bit_exactly() {
+        let server = ModelServer::start(ServeConfig::default().with_max_batch(4).with_threads(1));
+        let compiled = mlp_model(13);
+        let mut rng = TensorRng::seed_from(14);
+        let images: Vec<Tensor> = (0..10)
+            .map(|_| Tensor::rand_uniform(&[6], 0.0, 1.0, &mut rng))
+            .collect();
+        let expected = references(&compiled, &images);
+        server.load("mlp-backlog", compiled).expect("load");
+        // Parked, the batcher has taken at most its first batch; the rest
+        // queue up behind it.
+        let pending: Vec<Pending> = server.with_batches_parked("mlp-backlog", || {
+            images
+                .iter()
+                .map(|image| server.infer("mlp-backlog", image.clone()).expect("admit"))
+                .collect()
+        });
+        for (pending, expected) in pending.into_iter().zip(&expected) {
+            let out = pending.wait().expect("inference");
+            assert_eq!(out.as_slice(), expected.as_slice());
+        }
+        // 4+4+2, or 1+4+4+1 when the first request was taken alone before
+        // the batcher parked.
+        let stats = server.stats("mlp-backlog").expect("stats");
+        assert_eq!(stats.completed, 10);
+        assert!(
+            stats.batches <= 4,
+            "{} batches for 10 images",
+            stats.batches
+        );
+        assert!(stats.mean_batch >= 2.5, "mean batch {}", stats.mean_batch);
+    }
+
+    #[test]
+    fn drain_fills_to_max_batch_from_a_hot_queue() {
+        let (tx, rx) = mpsc::channel();
+        for i in 1..10 {
+            tx.send(i).unwrap();
+        }
+        assert_eq!(drain_queued(&rx, 0, 4), vec![0, 1, 2, 3]);
+        // The rest (5 queued + the blocking receive) form the next batch.
+        let first = rx.recv().unwrap();
+        assert_eq!(drain_queued(&rx, first, 16), vec![4, 5, 6, 7, 8, 9]);
+    }
+
+    #[test]
+    fn drain_with_max_batch_one_takes_nothing_queued() {
+        let (tx, rx) = mpsc::channel();
+        tx.send(8).unwrap();
+        assert_eq!(drain_queued(&rx, 7, 1), vec![7]);
+        assert_eq!(rx.try_recv(), Ok(8));
+    }
+
+    #[test]
+    fn drain_after_disconnect_returns_the_partial_batch() {
+        let (tx, rx) = mpsc::channel();
+        tx.send(1).unwrap();
+        drop(tx);
+        assert_eq!(drain_queued(&rx, 0, 8), vec![0, 1]);
+        assert!(rx.recv().is_err());
     }
 
     #[test]

@@ -100,11 +100,7 @@ fn tcp_responses_are_bit_identical_to_run_plan_across_fleet_sizes() {
     ];
     for devices in mixes {
         let (fleet, wire) = start_wired_fleet(
-            FleetConfig::default().with_replica_config(
-                ServeConfig::default()
-                    .with_max_wait(Duration::from_micros(500))
-                    .with_threads(1),
-            ),
+            FleetConfig::default().with_replica_config(ServeConfig::default().with_threads(1)),
             devices,
         );
         let addr = wire.local_addr();
@@ -172,11 +168,7 @@ fn killed_replica_mid_load_is_shed_with_zero_corrupted_responses() {
                     .with_evict_after(2)
                     .with_probe_after(Duration::from_secs(120)),
             )
-            .with_replica_config(
-                ServeConfig::default()
-                    .with_max_wait(Duration::from_micros(500))
-                    .with_threads(1),
-            ),
+            .with_replica_config(ServeConfig::default().with_threads(1)),
         &[FpgaDevice::XC7Z045, FpgaDevice::XC7Z020],
     );
     let addr = wire.local_addr();
@@ -224,11 +216,7 @@ fn fleet_wide_hot_swap_drops_nothing_and_every_reply_matches_a_version() {
     assert_ne!(refs1[0], refs2[0], "fixture versions must differ");
 
     let (fleet, wire) = start_wired_fleet(
-        FleetConfig::default().with_replica_config(
-            ServeConfig::default()
-                .with_max_wait(Duration::from_micros(500))
-                .with_threads(1),
-        ),
+        FleetConfig::default().with_replica_config(ServeConfig::default().with_threads(1)),
         &[FpgaDevice::XC7Z045, FpgaDevice::XCZU3CG],
     );
     let addr = wire.local_addr();
@@ -283,7 +271,6 @@ fn shutdown_racing_inline_placement_is_typed_and_evicts_no_replica() {
                 )
                 .with_replica_config(
                     ServeConfig::default()
-                        .with_max_wait(Duration::from_micros(500))
                         // Deep enough that backpressure never answers instead.
                         .with_queue_depth(1 << 20)
                         .with_threads(1),
