@@ -17,7 +17,7 @@ use mixmatch_quant::integer::{ActQuantizer, QuantizedMatrix};
 use mixmatch_quant::msq::MsqPolicy;
 use mixmatch_quant::optimize;
 use mixmatch_quant::pipeline::CompiledModel;
-use mixmatch_tensor::im2col::{im2col_patches_into, ConvGeometry};
+use mixmatch_tensor::im2col::{im2col_patches_of, ConvGeometry};
 use mixmatch_tensor::simd::{detected_tier, SimdTier};
 use mixmatch_tensor::{Tensor, TensorRng};
 use std::fmt::Write as _;
@@ -58,10 +58,11 @@ fn main() {
         engine.threads()
     );
 
-    // Kernel series: the raw im2col → quantize → GEMM chain on one thread,
-    // the scalar tier against the runtime-detected vector tier of the
-    // *same* lane-planned `GemmPlan` — isolating the packed-weight
-    // micro-kernels from engine dispatch and the rest of the model.
+    // Kernel series: the engine's conv chain on one thread — quantize the
+    // map once, then im2col the levels → GEMM per patch tile — the scalar
+    // tier against the runtime-detected vector tier of the *same*
+    // lane-planned `GemmPlan`, isolating the packed-weight micro-kernels
+    // from engine dispatch and the rest of the model.
     let kgeom = ConvGeometry::new(32, 64, 3, 1, 1);
     let kernel_act = ActQuantizer::new(4, 1.0);
     let kw = Tensor::randn(&[kgeom.out_channels, kgeom.gemm_k()], &mut rng);
@@ -74,9 +75,10 @@ fn main() {
     let patches = kgeom.output_size(input_hw) * kgeom.output_size(input_hw);
     // Same L1-sized patch tiling the engine uses for its conv chain.
     let tile = {
-        let raw = (64 * 1024 / (8 * kk)).clamp(4, 4096);
+        let raw = (32 * 1024 / (4 * kk)).clamp(4, 4096);
         (raw - raw % 4).min(patches.max(4))
     };
+    let map_dims = [kgeom.in_channels, input_hw, input_hw];
     let kernel_images: Vec<Tensor> = (0..32)
         .map(|_| Tensor::rand_uniform(&[kgeom.in_channels, input_hw, input_hw], 0.0, 1.0, &mut rng))
         .collect();
@@ -92,21 +94,22 @@ fn main() {
     );
     for (ti, tier) in [SimdTier::Scalar, detected_tier()].into_iter().enumerate() {
         let plan = kernel_base.clone().with_tier(tier);
-        let mut cols = vec![0.0f32; tile * kk];
-        let mut quantized: Vec<u32> = Vec::new();
+        let mut qmap: Vec<u32> = Vec::new();
+        let mut quantized = vec![0u32; tile * kk];
         let mut out = vec![0.0f32; kgeom.out_channels * patches];
         let mut batch_rows = String::new();
         for (bi, &batch) in [1usize, 8, 32].iter().enumerate() {
             let (iters, secs) = time_passes(
                 || {
                     for img in &kernel_images[..batch] {
+                        kernel_act.quantize_into(img.as_slice(), &mut qmap);
                         let mut p0 = 0;
                         while p0 < patches {
                             let count = tile.min(patches - p0);
-                            im2col_patches_into(img, &kgeom, 0, p0, count, &mut cols);
-                            kernel_act.quantize_into(&cols[..count * kk], &mut quantized);
+                            let tile_q = &mut quantized[..count * kk];
+                            im2col_patches_of(&qmap, map_dims, &kgeom, 0, p0, count, tile_q);
                             plan.matmul_patches_into(
-                                &quantized,
+                                tile_q,
                                 count,
                                 &kernel_act,
                                 &mut out,

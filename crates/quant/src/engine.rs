@@ -15,9 +15,15 @@
 //! cached inside the [`QuantizedModel`]. Every later call only validates
 //! its batch against the plan before fanning contiguous image chunks out
 //! over a persistent [`WorkerPool`] (the shared process-wide pool by
-//! default, or a private one via [`BatchEngine::with_threads`]). Each
-//! worker owns one buffer arena and one im2col/quantization scratch set,
-//! so the per-image inner loops run allocation-free.
+//! default, or a private one via [`BatchEngine::with_threads`]). Each call
+//! builds one buffer arena and one quantization/im2col scratch set per
+//! chunk; a chunk's images reuse them, so the per-image inner loops run
+//! allocation-free once the first image has sized the scratch.
+//!
+//! A conv step quantizes its input map once, in one vectorized pass, and
+//! unrolls the integer levels patch by patch straight into the GEMM's
+//! activation tile — the paper's datapath likewise quantizes each feature-map
+//! element once before it streams into the GEMM array.
 //!
 //! Outputs are **bit-identical** to the interpreted single-image kernels
 //! ([`QuantizedConv::forward_image`](crate::deploy::QuantizedConv::forward_image)
@@ -64,9 +70,9 @@ use crate::error::QuantError;
 use crate::graph::{self, Epilogue, ExecutionPlan, StepOp};
 use crate::integer::{ActQuantizer, GemmPlan};
 use crate::pipeline::{CompiledModel, DeployForm, QuantizedLayer, QuantizedModel};
-use crate::profile::{PlanProfile, StepProfile};
+use crate::profile::{ConvPhases, PlanProfile, StepProfile};
 use mixmatch_tensor::arena::BufferArena;
-use mixmatch_tensor::im2col::{im2col_patches_into, ConvGeometry};
+use mixmatch_tensor::im2col::{im2col_patches_of, ConvGeometry};
 use mixmatch_tensor::pool::WorkerPool;
 use mixmatch_tensor::simd::SimdTier;
 use mixmatch_tensor::Tensor;
@@ -81,14 +87,61 @@ pub struct BatchRun {
     pub ops: OpCounts,
 }
 
-/// Per-worker scratch, reused across a worker's share of the batch: one
-/// patch-major im2col tile and its quantized copy, both sized to the
-/// cache-tiled chain's L1/L2 budget (see [`conv_tile_patches`]) instead of
-/// the whole `[K, patches]` image matrix.
+/// Per-chunk scratch, reused across a chunk's images: a conv step's input
+/// map quantized once to `C·H·W` integer levels (`qmap`), and the
+/// patch-major activation tile the GEMM reads (`quantized`) — a conv's
+/// im2col tile, sized to the cache-tiled chain's L1/L2 budget (see
+/// [`conv_tile_patches`]) instead of the whole `[K, patches]` image
+/// matrix, or a GEMM step's quantized input vector.
 #[derive(Default)]
 struct ConvScratch {
-    cols: Vec<f32>,
+    qmap: Vec<u32>,
     quantized: Vec<u32>,
+}
+
+/// One chunk's profiling clocks, in nanoseconds: wall time per plan step
+/// and, per conv step, its quantize-map / im2col / GEMM split.
+#[derive(Default)]
+struct StepClocks {
+    steps: Vec<u64>,
+    phases: Vec<[u64; 3]>,
+}
+
+impl StepClocks {
+    fn new(steps: usize) -> Self {
+        StepClocks {
+            steps: vec![0; steps],
+            phases: vec![[0; 3]; steps],
+        }
+    }
+}
+
+/// Slots of a conv step's phase clock.
+const PHASE_QUANTIZE: usize = 0;
+const PHASE_IM2COL: usize = 1;
+const PHASE_GEMM: usize = 2;
+
+/// The profiled path's stopwatch inside one conv step: each
+/// [`lap`](PhaseClock::lap) charges the time since the previous lap to one
+/// phase. Inert (no clock reads) when not profiling.
+struct PhaseClock<'a> {
+    running: Option<(&'a mut [u64; 3], std::time::Instant)>,
+}
+
+impl<'a> PhaseClock<'a> {
+    fn start(slots: Option<&'a mut [u64; 3]>) -> Self {
+        PhaseClock {
+            running: slots.map(|s| (s, std::time::Instant::now())),
+        }
+    }
+
+    fn lap(&mut self, phase: usize) {
+        if let Some((slots, last)) = &mut self.running {
+            let now = std::time::Instant::now();
+            slots[phase] += now.duration_since(*last).as_nanos() as u64;
+            *last = now;
+        }
+    }
 }
 
 /// How a plan step's input geometry is validated against its layer: a conv
@@ -165,9 +218,11 @@ impl BatchEngine {
     }
 
     /// Runs `images` through every step of `plan` against `model`'s
-    /// deployment forms: each worker owns one [`BufferArena`] sized to the
-    /// plan's buffer high-water marks plus one scratch set, so a whole
-    /// forward pass does zero shape inference and near-zero allocation.
+    /// deployment forms: the batch is split into one contiguous chunk per
+    /// worker, and each chunk gets a fresh [`BufferArena`] sized to the
+    /// plan's buffer high-water marks plus one scratch set, reused across
+    /// its images, so a whole forward pass does zero shape inference and
+    /// near-zero allocation.
     /// Every GEMM step runs the layer's cached [`GemmPlan`], built on the
     /// first call that needs it. Each conv/GEMM step is bit-identical to
     /// the interpreted single-image kernel on that step's input; `ops`
@@ -197,8 +252,10 @@ impl BatchEngine {
     /// fan-out and bit-identical outputs, plus a [`PlanProfile`] that
     /// attributes the batch's time to individual plan steps (and diffs it
     /// against the anchored hardware target's predicted per-step cost when
-    /// the model carries one). The only runtime difference is one
-    /// monotonic-clock read pair around each step.
+    /// the model carries one), with each conv step's time split into
+    /// quantize-map, im2col and GEMM phases ([`StepProfile::phases`]). The
+    /// only runtime difference is monotonic-clock reads around each step
+    /// and, inside conv steps, around each phase of each patch tile.
     ///
     /// # Errors
     ///
@@ -210,25 +267,26 @@ impl BatchEngine {
         images: &[Tensor],
     ) -> Result<(BatchRun, PlanProfile), QuantError> {
         let gemm_plans = validate(model, plan, images)?;
-        let mut step_nanos = vec![0u64; plan.steps().len()];
+        let mut clocks = StepClocks::new(plan.steps().len());
         let start = std::time::Instant::now();
-        let run = self.execute_plan(model, plan, &gemm_plans, images, Some(&mut step_nanos));
+        let run = self.execute_plan(model, plan, &gemm_plans, images, Some(&mut clocks));
         let total = start.elapsed();
-        let profile = build_profile(model, plan, &gemm_plans, images.len(), &step_nanos, total);
+        let profile = build_profile(model, plan, &gemm_plans, images.len(), &clocks, total);
         Ok((run, profile))
     }
 
     /// The shared plan fan-out: contiguous image chunks over the pool, one
-    /// arena + scratch set per chunk. With `step_nanos`, each chunk clocks
-    /// every plan step and the per-chunk clocks are summed (CPU time
-    /// across workers) after the barrier.
+    /// arena + scratch set built per chunk per call. With `clocks`, each
+    /// chunk clocks every plan step (and every conv step's phases) and the
+    /// per-chunk clocks are summed (CPU time across workers) after the
+    /// barrier.
     fn execute_plan(
         &self,
         model: &QuantizedModel,
         plan: &ExecutionPlan,
         gemm_plans: &[Option<&GemmPlan>],
         images: &[Tensor],
-        step_nanos: Option<&mut [u64]>,
+        clocks: Option<&mut StepClocks>,
     ) -> BatchRun {
         let act = *model.act_quantizer();
         let mut outputs: Vec<Tensor> = images
@@ -241,17 +299,17 @@ impl BatchEngine {
                 ops: OpCounts::default(),
             };
         }
-        let profiling = step_nanos.is_some();
+        let profiling = clocks.is_some();
         let nsteps = plan.steps().len();
         let chunk = images.len().div_ceil(self.pool().threads()).max(1);
         let chunks = images.len().div_ceil(chunk);
         let mut chunk_ops = vec![OpCounts::default(); chunks];
-        let mut chunk_clocks: Vec<Vec<u64>> = (0..chunks)
+        let mut chunk_clocks: Vec<StepClocks> = (0..chunks)
             .map(|_| {
                 if profiling {
-                    vec![0u64; nsteps]
+                    StepClocks::new(nsteps)
                 } else {
-                    Vec::new()
+                    StepClocks::default()
                 }
             })
             .collect();
@@ -281,7 +339,7 @@ impl BatchEngine {
                                 &mut arena,
                                 &mut scratch,
                                 if profiling {
-                                    Some(clock_slot.as_mut_slice())
+                                    Some(&mut *clock_slot)
                                 } else {
                                     None
                                 },
@@ -293,10 +351,15 @@ impl BatchEngine {
                 .collect();
             self.pool().run(tasks);
         }
-        if let Some(step_nanos) = step_nanos {
-            for clocks in &chunk_clocks {
-                for (slot, v) in step_nanos.iter_mut().zip(clocks) {
+        if let Some(clocks) = clocks {
+            for chunk in &chunk_clocks {
+                for (slot, v) in clocks.steps.iter_mut().zip(&chunk.steps) {
                     *slot += v;
+                }
+                for (slots, vs) in clocks.phases.iter_mut().zip(&chunk.phases) {
+                    for (slot, v) in slots.iter_mut().zip(vs) {
+                        *slot += v;
+                    }
                 }
             }
         }
@@ -430,16 +493,18 @@ fn tier_name(tier: SimdTier) -> &'static str {
 /// Assembles the [`PlanProfile`] for one profiled batch: step labels from
 /// the op kind + layer name, bytes moved from the dims flow (src reads +
 /// dst writes × 4 bytes × images), kernel tier/row split from the
-/// layers' cached GEMM plans, and the cycle simulator's predicted per-image
-/// cost per step when the model is anchored to a target that models one.
+/// layers' cached GEMM plans, each conv step's phase split, and the cycle
+/// simulator's predicted per-image cost per step when the model is anchored
+/// to a target that models one.
 fn build_profile(
     model: &QuantizedModel,
     plan: &ExecutionPlan,
     gemm_plans: &[Option<&GemmPlan>],
     images: usize,
-    step_nanos: &[u64],
+    clocks: &StepClocks,
     total: std::time::Duration,
 ) -> PlanProfile {
+    use std::time::Duration;
     let layers = model.layers();
     let predicted = model.predict_plan_step_us(plan);
     let mut elems: Vec<usize> = vec![0; plan.buffer_sizes().len()];
@@ -482,10 +547,19 @@ fn build_profile(
                 ),
                 None => (None, 0, 0),
             };
+            let phases =
+                matches!(step.op, StepOp::Conv { .. } | StepOp::FusedConv { .. }).then(|| {
+                    let [quantize, im2col, gemm] = clocks.phases[i].map(Duration::from_nanos);
+                    ConvPhases {
+                        quantize,
+                        im2col,
+                        gemm,
+                    }
+                });
             StepProfile {
                 index: i,
                 label,
-                wall: std::time::Duration::from_nanos(step_nanos[i]),
+                wall: Duration::from_nanos(clocks.steps[i]),
                 bytes_moved: ((src_elems + dst_elems) * 4) as u64 * images as u64,
                 tier,
                 packed_rows,
@@ -494,7 +568,8 @@ fn build_profile(
                     .as_ref()
                     .and_then(|p| p.get(i))
                     .filter(|us| **us > 0.0)
-                    .map(|us| std::time::Duration::from_secs_f64(us / 1e6)),
+                    .map(|us| Duration::from_secs_f64(us / 1e6)),
+                phases,
             }
         })
         .collect();
@@ -506,26 +581,35 @@ fn build_profile(
     }
 }
 
-/// Patch-tile size for the cache-tiled conv chain: the f32 im2col tile plus
-/// its quantized `u32` copy (8 bytes per element) should sit well inside
-/// L1/L2, so the im2col→quantize→GEMM chain for one tile never round-trips
-/// through main memory. Rounded to the kernels' column-block width.
+/// Patch-tile size for the cache-tiled conv chain: the patch-major `u32`
+/// activation tile (4 bytes per element, 32 KiB) should sit well inside
+/// L1/L2, so the im2col→GEMM chain for one tile never round-trips through
+/// main memory. Rounded to the kernels' column-block width.
 fn conv_tile_patches(k: usize) -> usize {
-    const TILE_BYTES: usize = 64 * 1024;
-    let raw = (TILE_BYTES / (8 * k.max(1))).clamp(4, 4096);
+    const TILE_BYTES: usize = 32 * 1024;
+    let raw = (TILE_BYTES / (4 * k.max(1))).clamp(4, 4096);
     raw - raw % 4
 }
 
-/// One image through the planned conv datapath, tiled over the patch space:
-/// per tile, a patch-major im2col slab is produced, quantized, and reduced
-/// by the packed integer GEMM while still cache-resident — the whole-image
-/// `[K, patches]` matrix (and the transpose pass it used to require) is
-/// never materialized. Dense convs run all rows per tile; depthwise convs
-/// run their group's single row. When `epilogue` is given its post-ops are
-/// applied inside the GEMM write-back. Bit-identical to
-/// `QuantizedConv::try_forward_image` plus a separate epilogue pass:
-/// integer accumulation per output element is exact and complete per tile,
-/// and the epilogue is elementwise.
+/// One image through the planned conv datapath. The input map is quantized
+/// once, in one vectorized pass over its `C·H·W` elements, into
+/// `scratch.qmap`; the conv then runs tiled over the patch space: per tile,
+/// a patch-major slab of integer levels is unrolled from `qmap` straight
+/// into the GEMM's activation tile and reduced by the packed integer GEMM
+/// while still cache-resident — neither the whole-image `[K, patches]`
+/// matrix nor an `f32` copy of the tile is ever materialized. Dense convs
+/// run all rows per tile; depthwise convs run their group's single row,
+/// every group unrolling from the one shared `qmap`. When `epilogue` is
+/// given its post-ops are applied inside the GEMM write-back. With
+/// `phases`, the quantize, im2col and GEMM (epilogue included) times
+/// accumulate into its three slots.
+///
+/// Bit-identical to `QuantizedConv::try_forward_image` (which quantizes
+/// after im2col) plus a separate epilogue pass: quantization is elementwise
+/// and maps a padding `0.0` to level 0, so the unrolled levels equal the
+/// quantized unrolled floats; integer accumulation per output element is
+/// exact and complete per tile; and the epilogue is elementwise.
+#[allow(clippy::too_many_arguments)]
 fn conv_image_planned(
     plan: &GemmPlan,
     geom: &ConvGeometry,
@@ -534,23 +618,29 @@ fn conv_image_planned(
     out: &mut Tensor,
     scratch: &mut ConvScratch,
     epilogue: Option<&Epilogue>,
+    phases: Option<&mut [u64; 3]>,
 ) -> OpCounts {
+    let mut clock = PhaseClock::start(phases);
     let (oh, ow) = (out.dims()[1], out.dims()[2]);
     let patches = oh * ow;
     let kk = geom.gemm_k();
     let tile = conv_tile_patches(kk);
-    scratch.cols.resize(tile.min(patches.max(1)) * kk, 0.0);
+    let dims = [image.dims()[0], image.dims()[1], image.dims()[2]];
+    act.quantize_into(image.as_slice(), &mut scratch.qmap);
+    scratch.quantized.resize(tile.min(patches.max(1)) * kk, 0);
+    clock.lap(PHASE_QUANTIZE);
     let mut ops = OpCounts::default();
     for g in 0..geom.groups {
         let mut p0 = 0;
         while p0 < patches {
             let count = tile.min(patches - p0);
-            let tile_cols = &mut scratch.cols[..count * kk];
-            im2col_patches_into(image, geom, g, p0, count, tile_cols);
-            act.quantize_into(tile_cols, &mut scratch.quantized);
+            let tile_q = &mut scratch.quantized[..count * kk];
+            im2col_patches_of(&scratch.qmap, dims, geom, g, p0, count, tile_q);
+            clock.lap(PHASE_IM2COL);
+            let tile_q = &scratch.quantized[..count * kk];
             ops = ops.merge(if geom.groups == 1 {
                 plan.matmul_patches_into(
-                    &scratch.quantized,
+                    tile_q,
                     count,
                     act,
                     out.as_mut_slice(),
@@ -561,13 +651,14 @@ fn conv_image_planned(
             } else {
                 plan.row_matmul_patches_into(
                     g,
-                    &scratch.quantized,
+                    tile_q,
                     count,
                     act,
                     &mut out.as_mut_slice()[g * patches + p0..g * patches + p0 + count],
                     epilogue,
                 )
             });
+            clock.lap(PHASE_GEMM);
             p0 += count;
         }
     }
@@ -577,9 +668,9 @@ fn conv_image_planned(
 /// One image through every plan step: load the input buffer, execute steps
 /// over the arena's split borrows, copy the output buffer out. All layer
 /// indices and shapes were validated before the fan-out, so this path is
-/// infallible. With `clock`, each step's elapsed nanoseconds accumulate
-/// into the matching slot — the only difference on the profiled path, so
-/// outputs stay bit-identical.
+/// infallible. With `clock`, each step's elapsed nanoseconds (and each conv
+/// step's phase split) accumulate into the matching slots — the only
+/// difference on the profiled path, so outputs stay bit-identical.
 #[allow(clippy::too_many_arguments)]
 fn run_plan_single(
     layers: &[QuantizedLayer],
@@ -590,7 +681,7 @@ fn run_plan_single(
     out: &mut Tensor,
     arena: &mut BufferArena,
     scratch: &mut ConvScratch,
-    mut clock: Option<&mut [u64]>,
+    mut clock: Option<&mut StepClocks>,
 ) -> OpCounts {
     arena
         .buffer_mut(plan.input_buffer(), image.dims())
@@ -614,6 +705,7 @@ fn run_plan_single(
                     dst,
                     scratch,
                     None,
+                    clock.as_deref_mut().map(|c| &mut c.phases[si]),
                 ));
             }
             StepOp::Gemm { layer } => {
@@ -667,6 +759,7 @@ fn run_plan_single(
                     dst,
                     scratch,
                     Some(&epilogue),
+                    clock.as_deref_mut().map(|c| &mut c.phases[si]),
                 ));
             }
             StepOp::FusedGemm { layer, epilogue } => {
@@ -688,7 +781,7 @@ fn run_plan_single(
             }
         }
         if let (Some(clock), Some(t0)) = (clock.as_deref_mut(), t0) {
-            clock[si] += t0.elapsed().as_nanos() as u64;
+            clock.steps[si] += t0.elapsed().as_nanos() as u64;
         }
     }
     out.as_mut_slice()

@@ -31,9 +31,13 @@ impl ActQuantizer {
     ///
     /// # Panics
     ///
-    /// Panics when `clip <= 0` or `bits` is outside `2..=16`.
+    /// Panics when `clip` is not positive and finite, or `bits` is outside
+    /// `2..=16`.
     pub fn new(bits: u32, clip: f32) -> Self {
-        assert!(clip > 0.0, "clip must be positive");
+        assert!(
+            clip > 0.0 && clip.is_finite(),
+            "clip must be positive and finite"
+        );
         assert!((2..=16).contains(&bits), "activation bits out of range");
         ActQuantizer { bits, clip }
     }
@@ -48,30 +52,49 @@ impl ActQuantizer {
         self.clip / self.levels() as f32
     }
 
-    /// Quantizes one activation to its integer level.
+    /// Quantizes one activation to its integer level: clamp to `[0, clip]`,
+    /// divide by [`step`](Self::step), round half away from zero.
     ///
     /// `NaN` maps deterministically to level 0 (the hardware treats a
-    /// malformed activation as silence, not saturation): `NaN.clamp` stays
-    /// `NaN` and the `as u32` cast would only *happen* to produce 0, so the
-    /// mapping is made explicit here rather than left to cast semantics.
+    /// malformed activation as silence, not saturation); the mapping is an
+    /// explicit select rather than left to cast semantics.
+    ///
+    /// The rounding is exactly `f32::round` without the libm call or a
+    /// float-to-int cast, so bulk loops vectorize at the SSE2 baseline. The
+    /// scaled value `v` lies in `[0, 2^16)`, well under `2^23`, so adding
+    /// `2^23` rounds it to the nearest integer `r` (ties to even) and leaves
+    /// `r` in the sum's mantissa bits; `v - r` is exact, and equals `0.5`
+    /// only on a tie that went down, which half-away-from-zero rounds up.
+    /// The function is branch-free for the same reason — an early return or
+    /// `f32::clamp` keeps LLVM from vectorizing callers' loops.
+    #[inline]
     pub fn quantize_one(&self, x: f32) -> u32 {
-        if x.is_nan() {
-            return 0;
-        }
-        let c = x.clamp(0.0, self.clip);
-        (c / self.step()).round() as u32
+        const TWO_23: f32 = 8_388_608.0;
+        let c = if x.is_nan() {
+            0.0
+        } else {
+            x.max(0.0).min(self.clip)
+        };
+        let v = c / self.step();
+        let biased = v + TWO_23;
+        let r = biased - TWO_23;
+        biased.to_bits().wrapping_sub(TWO_23.to_bits()) + u32::from(v - r >= 0.5)
     }
 
     /// Quantizes a slice of activations to integers.
     pub fn quantize(&self, xs: &[f32]) -> Vec<u32> {
-        xs.iter().map(|&x| self.quantize_one(x)).collect()
+        let mut out = Vec::new();
+        self.quantize_into(xs, &mut out);
+        out
     }
 
-    /// Quantizes into a reusable buffer (cleared first) — the
-    /// allocation-free path batched-inference workers use per image.
+    /// Quantizes into a reusable buffer (resized to `xs.len()`) — the
+    /// allocation-free path batched-inference workers use per feature map.
     pub fn quantize_into(&self, xs: &[f32], out: &mut Vec<u32>) {
-        out.clear();
-        out.extend(xs.iter().map(|&x| self.quantize_one(x)));
+        out.resize(xs.len(), 0);
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = self.quantize_one(x);
+        }
     }
 
     /// Dequantizes integers back to real values.
@@ -982,6 +1005,101 @@ mod tests {
         }
         assert_eq!(act.quantize(&[99.0])[0], 15); // saturation
         assert_eq!(act.quantize(&[-1.0])[0], 0); // floor
+    }
+
+    /// The rounding rule `quantize_one` implements without libm, written
+    /// with `f32::round`.
+    fn reference_level(act: &ActQuantizer, x: f32) -> u32 {
+        if x.is_nan() {
+            return 0;
+        }
+        (x.clamp(0.0, act.clip) / act.step()).round() as u32
+    }
+
+    /// Every `f32` whose bit pattern is within `ulps` of `x`'s.
+    fn neighbours(x: f32, ulps: u32) -> impl Iterator<Item = f32> {
+        let bits = x.to_bits();
+        (bits.saturating_sub(ulps)..=bits.saturating_add(ulps)).map(f32::from_bits)
+    }
+
+    /// `quantize_one`, `quantize_into` and `quantize` against the reference
+    /// over one batch of inputs.
+    fn assert_matches_reference(act: &ActQuantizer, xs: &[f32], buf: &mut Vec<u32>) {
+        act.quantize_into(xs, buf);
+        assert_eq!(buf.len(), xs.len());
+        for (&x, &q) in xs.iter().zip(buf.iter()) {
+            let want = reference_level(act, x);
+            assert_eq!(
+                act.quantize_one(x),
+                want,
+                "{act:?} x={x:e} ({:#x})",
+                x.to_bits()
+            );
+            assert_eq!(
+                q,
+                want,
+                "quantize_into: {act:?} x={x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+        assert_eq!(&act.quantize(xs), buf);
+    }
+
+    #[test]
+    fn quantize_matches_the_f32_round_reference() {
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            -f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            -1e-30,
+            -0.5,
+            -1.0,
+            f32::MIN,
+            1e30,
+            f32::MAX,
+        ];
+        let mut xs: Vec<f32> = Vec::new();
+        let mut buf = Vec::new();
+        for bits in [2, 4, 8, 16] {
+            let levels = ((1u32 << bits) - 1) as f32;
+            // A unit step feeds `x` to the rounding unchanged; a fractional
+            // step runs the division too.
+            for clip in [levels, 1.2] {
+                let act = ActQuantizer::new(bits, clip);
+                xs.clear();
+                xs.extend(specials);
+                xs.extend([clip, clip * 1.0001, clip * 2.0]);
+                xs.extend(neighbours(clip, 64));
+                assert_matches_reference(&act, &xs, &mut buf);
+                // ±64 ulps around every level `k` and half-level `k + 0.5`.
+                for block in 0..64u32 {
+                    xs.clear();
+                    for k in block * 1024..(block + 1) * 1024 {
+                        for centre in [k as f32, k as f32 + 0.5] {
+                            xs.extend(neighbours(centre * act.step(), 64));
+                        }
+                    }
+                    assert_matches_reference(&act, &xs, &mut buf);
+                }
+                // A strided sweep of every bit pattern in [0, 65536].
+                xs.clear();
+                xs.extend(
+                    (0..=65536f32.to_bits())
+                        .step_by(4099)
+                        .map(|b| f32::from_bits(b) * act.step()),
+                );
+                assert_matches_reference(&act, &xs, &mut buf);
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   path.
 //! * [`engine`] — [`engine::BatchEngine`], the batched multi-threaded
 //!   integer inference runtime (persistent worker pool, precompiled row
-//!   plans, per-worker scratch) bit-identical to the single-image kernels.
+//!   plans, per-chunk scratch) bit-identical to the single-image kernels.
 //! * [`baselines`] — DoReFa / PACT comparators and the published reference
 //!   rows of Tables III–IV.
 //! * [`analysis`] — distribution statistics and the Figure 1 data series.

@@ -10,11 +10,35 @@
 //! predicted skew is visible per step. That skew is the input signal the
 //! planned auto-tuner (ROADMAP item 4) searches against.
 //!
+//! Conv steps also carry their [`ConvPhases`]: the time spent quantizing the
+//! input map, unrolling the integer levels (im2col), and in the GEMM with
+//! its fused epilogue.
+//!
 //! Step wall times are summed across worker chunks, so they add up to CPU
 //! time; `PlanProfile::total` is the batch's actual wall clock.
 
 use std::fmt;
 use std::time::Duration;
+
+/// A conv step's wall time split by phase, summed over every image and
+/// worker like [`StepProfile::wall`]. The phases run back to back inside the
+/// step, so their [`total`](ConvPhases::total) is at most the step's wall.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConvPhases {
+    /// Quantizing the input map to integer levels, once per image.
+    pub quantize: Duration,
+    /// Unrolling the levels into patch-major tiles.
+    pub im2col: Duration,
+    /// The integer GEMM over the tiles, fused epilogue included.
+    pub gemm: Duration,
+}
+
+impl ConvPhases {
+    /// Sum of the three phases.
+    pub fn total(&self) -> Duration {
+        self.quantize + self.im2col + self.gemm
+    }
+}
 
 /// Measured (and optionally predicted) cost of one plan step.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,16 +62,24 @@ pub struct StepProfile {
     pub dense_rows: usize,
     /// The cycle simulator's predicted per-image cost, when available.
     pub predicted: Option<Duration>,
+    /// Phase split of a conv step (`Conv` / `FusedConv`); `None` for every
+    /// other step.
+    pub phases: Option<ConvPhases>,
 }
 
 impl StepProfile {
     /// Measured per-image microseconds.
     pub fn measured_us_per_image(&self, images: usize) -> f64 {
-        if images == 0 {
-            return 0.0;
-        }
-        self.wall.as_secs_f64() * 1e6 / images as f64
+        us_per_image(self.wall, images)
     }
+}
+
+/// `d` in microseconds per image (0 for an empty batch).
+fn us_per_image(d: Duration, images: usize) -> f64 {
+    if images == 0 {
+        return 0.0;
+    }
+    d.as_secs_f64() * 1e6 / images as f64
 }
 
 /// Aggregated profile of one `run_plan_profiled` batch.
@@ -59,8 +91,8 @@ pub struct PlanProfile {
     pub images: usize,
     /// Wall-clock time of the whole batch (fan-out included).
     pub total: Duration,
-    /// Arena high-water mark: the per-worker buffer bytes the plan
-    /// reserves (`buffer_sizes` sum × 4).
+    /// Arena high-water mark: the buffer bytes the plan reserves per
+    /// image chunk (`buffer_sizes` sum × 4).
     pub arena_high_water_bytes: u64,
 }
 
@@ -71,9 +103,19 @@ impl PlanProfile {
     }
 
     /// The flat profile as a printable table: one row per step with
-    /// measured per-image cost, bytes moved, kernel tier, and the
-    /// predicted cost + skew column when a prediction exists.
+    /// measured per-image cost, bytes moved, kernel tier, the conv phase
+    /// split (quantize / im2col / GEMM µs per image) when any step has one,
+    /// and the predicted cost + skew column when a prediction exists. The
+    /// step column is as wide as the longest label.
     pub fn table(&self) -> String {
+        let width = self
+            .steps
+            .iter()
+            .map(|s| s.label.chars().count())
+            .max()
+            .unwrap_or(0)
+            .max("step".len());
+        let has_phases = self.steps.iter().any(|s| s.phases.is_some());
         let mut out = String::new();
         out.push_str(&format!(
             "plan profile: {} steps, {} images, total {:.3} ms, arena {} B\n",
@@ -84,9 +126,15 @@ impl PlanProfile {
         ));
         let has_predictions = self.steps.iter().any(|s| s.predicted.is_some());
         out.push_str(&format!(
-            "{:>4}  {:<28} {:>12} {:>12} {:>8} {:>12}",
+            "{:>4}  {:<width$} {:>12} {:>12} {:>8} {:>12}",
             "#", "step", "us/image", "bytes", "tier", "rows p/d"
         ));
+        if has_phases {
+            out.push_str(&format!(
+                " {:>10} {:>10} {:>10}",
+                "quant us", "im2col us", "gemm us"
+            ));
+        }
         if has_predictions {
             out.push_str(&format!(" {:>12} {:>8}", "pred us", "skew"));
         }
@@ -94,7 +142,7 @@ impl PlanProfile {
         for step in &self.steps {
             let measured = step.measured_us_per_image(self.images);
             out.push_str(&format!(
-                "{:>4}  {:<28} {:>12.2} {:>12} {:>8} {:>6}/{:<5}",
+                "{:>4}  {:<width$} {:>12.2} {:>12} {:>8} {:>6}/{:<5}",
                 step.index,
                 step.label,
                 measured,
@@ -103,6 +151,17 @@ impl PlanProfile {
                 step.packed_rows,
                 step.dense_rows,
             ));
+            if has_phases {
+                match step.phases {
+                    Some(p) => out.push_str(&format!(
+                        " {:>10.2} {:>10.2} {:>10.2}",
+                        us_per_image(p.quantize, self.images),
+                        us_per_image(p.im2col, self.images),
+                        us_per_image(p.gemm, self.images)
+                    )),
+                    None => out.push_str(&format!(" {:>10} {:>10} {:>10}", "-", "-", "-")),
+                }
+            }
             if has_predictions {
                 match step.predicted {
                     Some(pred) if pred > Duration::ZERO => {
@@ -138,6 +197,7 @@ mod tests {
             packed_rows: 8,
             dense_rows: 0,
             predicted: predicted_us.map(Duration::from_micros),
+            phases: None,
         }
     }
 
@@ -163,6 +223,41 @@ mod tests {
         assert!(text.contains("skew"));
         // 100 µs over 2 images = 50 µs/image vs 25 µs predicted = 2.0x.
         assert!(text.contains("2.0x"), "{text}");
+    }
+
+    #[test]
+    fn table_sizes_the_step_column_and_prints_phases_for_conv_steps() {
+        let long = "fused-conv stage0.block0.conv1.weight";
+        let mut conv = step(0, long, 100, None);
+        conv.phases = Some(ConvPhases {
+            quantize: Duration::from_micros(10),
+            im2col: Duration::from_micros(20),
+            gemm: Duration::from_micros(60),
+        });
+        let profile = PlanProfile {
+            steps: vec![conv, step(1, "pool", 4, None)],
+            images: 2,
+            total: Duration::from_micros(120),
+            arena_high_water_bytes: 0,
+        };
+        let text = profile.table();
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(
+            lines[1].contains("quant us") && lines[1].contains("gemm us"),
+            "{text}"
+        );
+        // Per image: 5 / 10 / 30 µs, on the conv row only.
+        assert!(
+            lines[2].contains("5.00") && lines[2].contains("30.00"),
+            "{text}"
+        );
+        assert!(lines[3].trim_end().ends_with('-'), "{text}");
+        // Every row's `us/image` column ends at the same offset, however
+        // long the label.
+        let col_end = |line: &str, field: &str| line.find(field).map(|i| i + field.len());
+        let header = col_end(lines[1], "us/image").expect("header");
+        assert_eq!(col_end(lines[2], "50.00"), Some(header), "{text}");
+        assert_eq!(col_end(lines[3], "2.00"), Some(header), "{text}");
     }
 
     #[test]

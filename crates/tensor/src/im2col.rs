@@ -163,10 +163,12 @@ pub fn im2col_into(input: &Tensor, geom: &ConvGeometry, group: usize, dst: &mut 
 /// (`c·k² + ky·k + kx`) as the row-major form.
 ///
 /// This is the cache-tiling building block: the batched engine produces a
-/// small patch tile, quantizes it, and runs the integer GEMM over it while
-/// everything still sits in L1/L2, instead of materializing the whole
+/// small patch tile and runs the integer GEMM over it while everything
+/// still sits in L1/L2, instead of materializing the whole
 /// `[K, out_h·out_w]` matrix per image. Laying each patch out contiguously
 /// also lets the GEMM reduce over `K` without a transposed scratch copy.
+/// The engine itself unrolls already-quantized levels through
+/// [`im2col_patches_of`]; this is its `f32` form over a [`Tensor`].
 ///
 /// # Panics
 ///
@@ -181,7 +183,33 @@ pub fn im2col_patches_into(
     dst: &mut [f32],
 ) {
     assert_eq!(input.shape().rank(), 3, "im2col expects [c, h, w] input");
-    let (c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
+    let dims = [input.dims()[0], input.dims()[1], input.dims()[2]];
+    im2col_patches_of(input.as_slice(), dims, geom, group, p0, count, dst);
+}
+
+/// [`im2col_patches_into`] over a raw row-major `[c, h, w]` slice of any
+/// element type: padding positions are `T::default()`. The engine unrolls
+/// quantized `u32` levels with it — quantization is elementwise and maps
+/// `0.0` to level 0, so unrolling a quantized map equals quantizing the
+/// unrolled one, at one quantization per input element instead of up to
+/// `k²`.
+///
+/// # Panics
+///
+/// Panics when `map` is not `c·h·w` long, channels disagree with `geom`,
+/// the patch range exceeds `out_h·out_w`, or `dst` is shorter than
+/// `count·K`.
+pub fn im2col_patches_of<T: Copy + Default>(
+    map: &[T],
+    dims: [usize; 3],
+    geom: &ConvGeometry,
+    group: usize,
+    p0: usize,
+    count: usize,
+    dst: &mut [T],
+) {
+    let [c, h, w] = dims;
+    assert_eq!(map.len(), c * h * w, "im2col map length mismatch");
     assert_eq!(c, geom.in_channels, "channel count mismatch");
     assert!(group < geom.groups, "group index out of range");
     let cg = geom.in_channels / geom.groups;
@@ -198,8 +226,7 @@ pub fn im2col_patches_into(
     );
     assert!(dst.len() >= count * kk, "im2col tile destination too short");
     let tile = &mut dst[..count * kk];
-    tile.fill(0.0);
-    let src = input.as_slice();
+    tile.fill(T::default());
     for p in 0..count {
         let (oy, ox) = ((p0 + p) / out_w, (p0 + p) % out_w);
         let patch = &mut tile[p * kk..(p + 1) * kk];
@@ -216,7 +243,7 @@ pub fn im2col_patches_into(
                     if ix < 0 || ix >= w as isize {
                         continue;
                     }
-                    patch[cc * k * k + ky * k + kx] = src[src_row + ix as usize];
+                    patch[cc * k * k + ky * k + kx] = map[src_row + ix as usize];
                 }
             }
         }
@@ -359,6 +386,7 @@ mod tests {
                 groups,
             };
             let x = Tensor::randn(&[ch, h, h], &mut rng);
+            let bits: Vec<u32> = x.as_slice().iter().map(|v| v.to_bits()).collect();
             let patches = g.output_size(h) * g.output_size(h);
             let kk = g.gemm_k();
             for group in 0..groups {
@@ -374,6 +402,10 @@ mod tests {
                     }
                     tile.resize(count * kk, f32::NAN);
                     im2col_patches_into(&x, &g, group, p0, count, &mut tile);
+                    // The generic form over the map's bit patterns: padding
+                    // is `u32::default() == 0.0f32.to_bits()`.
+                    let mut bits_tile = vec![u32::MAX; count * kk];
+                    im2col_patches_of(&bits, [ch, h, h], &g, group, p0, count, &mut bits_tile);
                     for p in 0..count {
                         for ki in 0..kk {
                             assert_eq!(
@@ -382,6 +414,7 @@ mod tests {
                                 "group {group} patch {} k {ki}",
                                 p0 + p
                             );
+                            assert_eq!(bits_tile[p * kk + ki], tile[p * kk + ki].to_bits());
                         }
                     }
                     p0 += count;

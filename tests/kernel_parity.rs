@@ -161,51 +161,91 @@ fn kernel_parity_on_handpicked_mixed_row_assignments() {
     }
 }
 
+/// Activations on the quantizer's rounding boundaries — exactly
+/// `(k + 0.5)·step` and one ulp either side, for random levels `k` up to
+/// the ceiling — plus −0.0 and positive and negative subnormals.
+fn boundary_activations(rng: &mut TensorRng, len: usize, act: &ActQuantizer) -> Vec<f32> {
+    (0..len)
+        .map(|i| {
+            let k = rng.below(act.levels() as usize + 1) as f32;
+            let mid = (k + 0.5) * act.step();
+            match i % 6 {
+                0 => mid,
+                1 => f32::from_bits(mid.to_bits() + 1),
+                2 => f32::from_bits(mid.to_bits() - 1),
+                3 => -0.0,
+                4 => f32::from_bits(1 + i as u32),
+                _ => -f32::from_bits(0x007f_ffff - i as u32),
+            }
+        })
+        .collect()
+}
+
+/// The engine quantizes each conv input map once and unrolls the levels;
+/// the interpreter unrolls the floats and quantizes every patch. Both
+/// orders must agree bit for bit on every padding/stride geometry, on
+/// rounding ties, signed zeros, subnormals, NaN and ±Inf, and at every
+/// activation width up to the top of the `u16` range.
 #[test]
 fn engine_conv_parity_with_nan_inf_images_at_1_2_host_threads() {
     let mut rng = TensorRng::seed_from(103);
     for geom in [
         ConvGeometry::new(3, 8, 3, 1, 1),
         ConvGeometry::new(2, 5, 3, 2, 0),
+        ConvGeometry::new(3, 6, 3, 1, 2),
+        ConvGeometry::new(2, 7, 3, 2, 1),
         ConvGeometry::depthwise(4, 3, 1, 1),
     ] {
-        let policy = if geom.groups == 1 {
-            MsqPolicy::msq_optimal()
-        } else {
-            MsqPolicy::single(Scheme::Sp2, 4)
-        };
-        let compiled = single_layer(
-            Conv2d::with_geometry("conv", geom, false, &mut rng),
-            policy,
-            ActQuantizer::new(4, 1.2),
-            &[geom.in_channels, 7, 7],
-        );
-        let conv = conv_of(&compiled);
-        let images: Vec<Tensor> = (0..6)
-            .map(|_| {
-                let vals = adversarial_activations(&mut rng, geom.in_channels * 49, 1.2);
-                Tensor::from_vec(vals, &[geom.in_channels, 7, 7]).unwrap()
-            })
-            .collect();
-        for threads in [1, 2, host_threads()] {
-            let engine = BatchEngine::with_threads(threads);
-            let run = engine.run_plan_batch(&compiled, &images).expect("batch");
-            for (img, out) in images.iter().zip(&run.outputs) {
-                assert_eq!(
-                    out.as_slice(),
-                    conv.forward_image(img).as_slice(),
-                    "threads {threads}, groups {}",
-                    geom.groups
-                );
+        for bits in [4, 8, 16] {
+            let policy = if geom.groups == 1 {
+                MsqPolicy::msq_optimal()
+            } else {
+                MsqPolicy::single(Scheme::Sp2, 4)
+            };
+            let act = ActQuantizer::new(bits, 1.2);
+            let compiled = single_layer(
+                Conv2d::with_geometry("conv", geom, false, &mut rng),
+                policy,
+                act,
+                &[geom.in_channels, 7, 7],
+            );
+            let conv = conv_of(&compiled);
+            let len = geom.in_channels * 49;
+            let images: Vec<Tensor> = (0..6)
+                .map(|i| {
+                    let vals = if i % 2 == 0 {
+                        adversarial_activations(&mut rng, len, 1.2)
+                    } else {
+                        boundary_activations(&mut rng, len, &act)
+                    };
+                    Tensor::from_vec(vals, &[geom.in_channels, 7, 7]).unwrap()
+                })
+                .collect();
+            for threads in [1, 2, host_threads()] {
+                let engine = BatchEngine::with_threads(threads);
+                let run = engine.run_plan_batch(&compiled, &images).expect("batch");
+                for (i, (img, out)) in images.iter().zip(&run.outputs).enumerate() {
+                    let want = conv.forward_image(img);
+                    let (got, want) = (out.as_slice(), want.as_slice());
+                    assert_eq!(got.len(), want.len());
+                    for (j, (a, b)) in got.iter().zip(want).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "threads {threads}, {geom:?}, {bits}-bit acts, image {i}, output {j}"
+                        );
+                    }
+                }
             }
         }
     }
 }
 
-/// Satellite regression for the scratch-reuse staleness class: one worker
-/// runs batch 32 → 1 → 8 (and mixed image sizes) on the same engine, so
-/// every per-worker buffer is reused by a smaller workload right after a
-/// larger one. Each output must equal a fresh-scratch single-image run.
+/// Regression for the scratch-reuse staleness class: one worker runs batch
+/// 32 → 1 → 8 (and mixed image sizes) on the same engine. The arena and
+/// scratch are built per chunk per call, so within a chunk every image
+/// reuses the buffers its predecessor sized. Each output must equal a
+/// fresh-scratch single-image run.
 #[test]
 fn shrinking_batches_on_one_worker_leave_no_stale_scratch() {
     let mut rng = TensorRng::seed_from(104);

@@ -14,6 +14,7 @@ use mixmatch::obs::{chrome_trace, EventKind, LatencyHistogram, Registry};
 use mixmatch::prelude::*;
 use mixmatch::quant::engine::BatchEngine;
 use mixmatch::quant::export::export_compiled;
+use mixmatch::quant::graph::StepOp;
 use mixmatch::serve::wire::{read_frame, verb, write_frame};
 use proptest::prelude::*;
 use std::net::TcpStream;
@@ -183,8 +184,26 @@ fn profiled_run_is_bit_identical_and_accounts_for_the_wall() {
             assert!(step.predicted.is_none());
         }
     }
+    // Conv steps, and only conv steps, carry their quantize / im2col /
+    // GEMM split, which runs inside the step's own clock.
+    let mut conv_steps = 0;
+    for (step, planned) in profile.steps.iter().zip(plan.steps()) {
+        let is_conv = matches!(planned.op, StepOp::Conv { .. } | StepOp::FusedConv { .. });
+        assert_eq!(step.phases.is_some(), is_conv, "step {}", step.label);
+        if let Some(phases) = step.phases {
+            conv_steps += 1;
+            assert!(
+                phases.total() <= step.wall,
+                "step {}: {phases:?}",
+                step.label
+            );
+            assert!(phases.gemm > Duration::ZERO, "step {}", step.label);
+        }
+    }
+    assert!(conv_steps > 0, "resnet plan has conv steps");
     let table = profile.table();
     assert!(table.contains("skew"), "predictions render a skew column");
+    assert!(table.contains("im2col us"), "conv phases render");
 
     // Multi-threaded profiled execution stays bit-identical too.
     let wide = BatchEngine::with_threads(4);
@@ -195,6 +214,15 @@ fn profiled_run_is_bit_identical_and_accounts_for_the_wall() {
         assert_eq!(a.as_slice(), b.as_slice());
     }
     assert_eq!(wide_profile.steps.len(), plan.steps().len());
+    for step in &wide_profile.steps {
+        if let Some(phases) = step.phases {
+            assert!(
+                phases.total() <= step.wall,
+                "step {}: {phases:?}",
+                step.label
+            );
+        }
+    }
 }
 
 #[test]
